@@ -55,7 +55,6 @@ _TOP_LEVEL_KEYS = {
 _SOLVER_KEYS = {
     "duality_gap_tol",
     "max_iterations",
-    "projection_tol",
     "scalarization_weights",
 }
 
@@ -354,7 +353,7 @@ def _require(spec: ProblemSpec, fields: dict) -> None:
 _FRONTIER_COLUMNS = ("delta", "lambda", "R1", "R2", "gap", "provenance")
 
 
-def cmd_region(spec: ProblemSpec, out_dir: str, jobs: int) -> int:
+def cmd_region(spec: ProblemSpec, out_dir: str) -> int:
     """Solves the rate region over delta_grid; writes frontier.csv/json."""
     _require(spec, {"delta_grid": spec.delta_grid})
     points = []
@@ -615,7 +614,7 @@ def main(argv=None) -> int:
         spec = load_problem_spec(args.spec)
         jobs = _resolve_jobs(args.jobs)
         if args.command == "region":
-            return cmd_region(spec, args.out, jobs)
+            return cmd_region(spec, args.out)
         if args.command == "simulate":
             return cmd_simulate(spec, args.out, args.seed, jobs)
         return cmd_oracle(spec, args.out, args.seed)

@@ -30,16 +30,22 @@ DEFAULT_TABLE_CAP = 1 << 26  # max message-set size for constructed codes
 _PACKED_SCAN_BLOCK = 1 << 18   # codewords per block in the early-exit scan
 _BROADCAST_MAX = 1 << 22       # max samples*codewords elements per broadcast batch
 _CANDIDATE_CAP = 200_000       # max enumerated action words per encoded sample
+_MAX_LOG2_COUNT = 1024.0       # 2.0 ** 1024 overflows a float
 
 
 def message_count(n: int, rate: float) -> int:
     """Size of the message set at blocklength n: ceil(2^(n*rate)).
 
     A hair of slack guards against float representation pushing an intended
-    integer power just above itself.
+    integer power just above itself. Counts past the float range are
+    rejected from the exponent, before the power can overflow.
     """
     if rate < 0:
         raise ValueError(f"message_count: negative rate {rate}")
+    if n * rate >= _MAX_LOG2_COUNT:
+        raise ValueError(
+            f"message_count: 2^{n * rate:g} messages exceed the float range"
+        )
     return max(1, int(math.ceil(2.0 ** (n * rate) - 1e-9)))
 
 

@@ -3,10 +3,15 @@
 The feasible set (conditionals whose composition with the source stays
 within total variation delta of a target) is the intersection of per-row
 probability simplices with one weighted-l1 ball, and the objectives are
-convex, so accelerated projected gradient with alternating projections
-converges and a linear-programming Frank-Wolfe gap certifies the result.
-Endpoints (delta = 0 and delta past the zero-rate threshold) are returned
-from closed forms with zero gap.
+convex. Accelerated projected gradient (FISTA) minimizes them. Both
+sub-problems have exact closed forms: the Euclidean projection is a
+per-row soft-threshold whose simplex and ball multipliers are found
+between breakpoints of piecewise-linear functions (Condat 2016, "Fast
+projection onto the simplex and the l1 ball"), and the linear
+minimization behind the Frank-Wolfe duality gap is a fractional knapsack
+solved greedily. The gap certifies every returned point. Endpoints
+(delta = 0 and delta past the zero-rate threshold) are returned from
+closed forms with zero gap.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from coordlab.prob_core import CondPmf, Pmf, compose, in_delta_neighborhood
 
 LN2 = math.log(2.0)
 _TINY = 1e-30          # gradient floor; keeps log ratios finite at the boundary
-_DYKSTRA_CAP = 500
+_ROOT_STEPS = 100      # bracket steps of the ball-multiplier search
 _GAP_CHECK_EVERY = 25
 
 
@@ -32,13 +37,12 @@ _GAP_CHECK_EVERY = 25
 class SolverConfig:
     duality_gap_tol: float = 1e-7
     max_iterations: int = 20000
-    projection_tol: float = 1e-10
     delta_grid: tuple = ()
     scalarization_weights: tuple = tuple(i / 32 for i in range(33))
 
     def __post_init__(self):
-        if self.duality_gap_tol <= 0 or self.projection_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.duality_gap_tol <= 0:
+            raise ValueError("duality_gap_tol must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         grid = tuple(float(d) for d in self.delta_grid)
@@ -93,6 +97,12 @@ def _flat_rows(target: CondPmf) -> np.ndarray:
     return target.rows.reshape(target.rows.shape[0], -1)
 
 
+def _prox_entries(p, d, c, nu):
+    """max(p + soft(d - nu, c), 0), elementwise with broadcasting."""
+    t = d - nu
+    return np.maximum(p + np.sign(t) * np.maximum(np.abs(t) - c, 0.0), 0.0)
+
+
 class _NeighborhoodProgram:
     """Shared machinery for one (source, target, delta) feasible set.
 
@@ -112,7 +122,6 @@ class _NeighborhoodProgram:
         self.p = rows[self.support]
         self.k, self.m = self.p.shape
         self.budget = 2.0 * delta  # sum_x w_x ||q_x - p_x||_1 <= 2 delta
-        self._lp = None
 
     # objective pieces -------------------------------------------------
 
@@ -131,153 +140,125 @@ class _NeighborhoodProgram:
     def l1_cost(self, q: np.ndarray) -> float:
         return float((self.w[:, None] * np.abs(q - self.p)).sum())
 
-    def project_rows_simplex(self, q: np.ndarray) -> np.ndarray:
-        s = np.sort(q, axis=1)[:, ::-1]
-        cumsum = np.cumsum(s, axis=1) - 1.0
-        j = np.arange(1, self.m + 1)
-        cond = s - cumsum / j > 0
-        rho = cond.sum(axis=1)
-        theta = cumsum[np.arange(self.k), rho - 1] / rho
-        return np.maximum(q - theta[:, None], 0.0)
+    def _prox_rows(self, v: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Per row, argmin of 1/2||q_x - v_x||^2 + c_x ||q_x - p_x||_1 over the
+        simplex: max(p + soft(v - nu - p, c), 0) with the simplex multiplier
+        nu solved exactly between sorted breakpoints."""
+        d = v - self.p
+        # Each entry is nonincreasing and piecewise linear in nu, with kinks
+        # at d - c, d + c and v + c (where it reaches zero); so is the row sum,
+        # which is 0 at the last breakpoint.
+        cc = c[:, None]
+        bp = np.sort(np.concatenate([d - cc, d + cc, v + cc], axis=1), axis=1)
+        sums = _prox_entries(
+            self.p[:, None, :], d[:, None, :], c[:, None, None], bp[:, :, None]
+        ).sum(axis=2)
+        j = (sums >= 1.0).sum(axis=1) - 1
+        nu = np.empty(self.k)
+        # Left of every breakpoint all m entries fall with slope -1.
+        left = j < 0
+        nu[left] = bp[left, 0] - (1.0 - sums[left, 0]) / self.m
+        r, j = np.nonzero(~left)[0], j[~left]
+        s0, s1 = sums[r, j], sums[r, j + 1]
+        nu[r] = bp[r, j] + (s0 - 1.0) / (s0 - s1) * (bp[r, j + 1] - bp[r, j])
+        q = _prox_entries(self.p, d, cc, nu[:, None])
+        # A row far from the simplex leaves nu with few low bits; the
+        # renormalization keeps its sum within rounding of 1.
+        return q / q.sum(axis=1, keepdims=True)
 
-    def project_ball(self, q: np.ndarray) -> np.ndarray:
-        """Euclidean projection onto the weighted-l1 ball around the target."""
-        d = q - self.p
-        wexp = np.broadcast_to(self.w[:, None], d.shape)
-        cost = (wexp * np.abs(d)).sum()
-        if cost <= self.budget:
-            return q.copy()
-        absd = np.abs(d).ravel()
-        wf = wexp.ravel()
-        # lam solves sum_i w_i * max(|d_i| - lam*w_i, 0) = budget
-        bp = absd / wf
-        order = np.argsort(bp)
-        wd_sorted = (wf * absd)[order]
-        w2_sorted = (wf * wf)[order]
-        # active set = strict suffix above each breakpoint
-        sum_wd = np.cumsum(wd_sorted[::-1])[::-1]
-        sum_w2 = np.cumsum(w2_sorted[::-1])[::-1]
-        lam = None
-        for j in range(bp.shape[0]):
-            s_wd = sum_wd[j + 1] if j + 1 < bp.shape[0] else 0.0
-            s_w2 = sum_w2[j + 1] if j + 1 < bp.shape[0] else 0.0
-            # include breakpoint j itself while lam < bp[order[j]]
-            cand = (s_wd + wd_sorted[j] - self.budget) / (s_w2 + w2_sorted[j])
-            if cand <= bp[order[j]] + 1e-18:
-                lam = max(cand, 0.0)
+    def project(self, v: np.ndarray) -> np.ndarray:
+        """Exact Euclidean projection onto (simplex rows) and (l1 ball).
+
+        With ball multiplier mu every row is ``_prox_rows`` at c = mu w; the
+        l1 cost of that point is nonincreasing and piecewise linear in mu,
+        so a bracketed secant search, with bisection when the secant stalls,
+        hits the budget exactly once both ends share a linear piece.
+        """
+        v = v - v.max(axis=1, keepdims=True)  # row shifts do not move it
+        q = self._prox_rows(v, np.zeros(self.k))
+        excess = self.l1_cost(q) - self.budget
+        if excess <= 0.0:
+            return q
+        d = v - self.p
+        # Past hi every row's prox is the target row itself.
+        lo, f_lo, q_lo = 0.0, excess, q
+        hi = float(((d.max(axis=1) - d.min(axis=1)) / (2.0 * self.w)).max())
+        f_hi, q_hi = -self.budget, self.p.copy()
+        bisect = False
+        for _ in range(_ROOT_STEPS):
+            width = hi - lo
+            mu = 0.5 * (lo + hi) if bisect else lo + width * f_lo / (f_lo - f_hi)
+            # Stop once an end meets the budget to the rounding of the cost
+            # sum, or the bracket has closed to rounding.
+            if min(f_lo, -f_hi) <= 1e-15 or not lo < mu < hi:
                 break
-        if lam is None:
-            lam = float(bp.max())
-        u = np.sign(d) * np.maximum(np.abs(d) - lam * wexp.reshape(d.shape), 0.0)
-        return self.p + u
-
-    def project(self, q: np.ndarray, tol: float) -> np.ndarray:
-        """Dykstra alternation onto simplex-rows intersect ball."""
-        x = q
-        p_cor = np.zeros_like(q)
-        b_cor = np.zeros_like(q)
-        for _ in range(_DYKSTRA_CAP):
-            y = self.project_ball(x + p_cor)
-            p_cor = x + p_cor - y
-            x_new = self.project_rows_simplex(y + b_cor)
-            b_cor = y + b_cor - x_new
-            if np.abs(x_new - x).max() <= tol:
-                x = x_new
-                break
-            x = x_new
-        return x
-
-    def finish(self, q: np.ndarray) -> np.ndarray:
-        """Exact feasibility: blend toward the target along the ray, which
-        scales the weighted-l1 cost linearly and stays inside the simplex."""
+            q = self._prox_rows(v, mu * self.w)
+            f = self.l1_cost(q) - self.budget
+            if f > 0.0:
+                lo, f_lo, q_lo = mu, f, q
+            else:
+                hi, f_hi, q_hi = mu, f, q
+            bisect = not bisect and hi - lo > 0.5 * width
+        q = q_lo if f_lo < -f_hi else q_hi
+        # A rounding excess goes back along the ray to the target, which
+        # scales the l1 cost linearly and stays inside the simplex.
         cost = self.l1_cost(q)
         if cost <= self.budget:
             return q
-        theta = (self.budget / cost) * (1.0 - 1e-12)
-        return self.p + theta * (q - self.p)
+        return self.p + (self.budget / cost) * (q - self.p)
 
     # Frank-Wolfe gap --------------------------------------------------
 
-    def _lp_parts(self):
-        if self._lp is None:
-            k, m = self.k, self.m
-            km = k * m
-            a_eq = np.zeros((k, 2 * km))
-            for x in range(k):
-                a_eq[x, x * m : (x + 1) * m] = 1.0
-            ident = np.eye(km)
-            wrow = np.repeat(self.w, m)
-            a_ub = np.vstack(
-                [
-                    np.hstack([ident, -ident]),
-                    np.hstack([-ident, -ident]),
-                    np.hstack([np.zeros(km), wrow])[None, :],
-                ]
-            )
-            self._lp = (a_eq, a_ub)
-        return self._lp
+    def linear_min(self, grad: np.ndarray) -> np.ndarray:
+        """argmin over the feasible set of <grad, s>: a fractional knapsack.
 
-    def linear_min(self, grad: np.ndarray):
-        """argmin over the feasible set of a linear functional of q."""
-        k, m = self.k, self.m
-        km = k * m
-        a_eq, a_ub = self._lp_parts()
-        pflat = self.p.ravel()
-        b_ub = np.concatenate([pflat, -pflat, [self.budget]])
-        c = np.concatenate([grad.ravel(), np.zeros(km)])
-        res = linprog(
-            c,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=np.ones(k),
-            bounds=[(0, None)] * (2 * km),
-            method="highs",
-        )
-        if not res.success:
-            raise RuntimeError(f"gap linear program failed: {res.message}")
-        return res.x[:km].reshape(k, m)
+        Moving mass t from column y of row x to the row's cheapest column
+        spends 2 w_x t of the l1 budget and lowers the objective by
+        (grad_xy - min grad_x) t, so mass moves greedily in decreasing
+        gain per unit of budget until the budget is spent.
+        """
+        unit = np.repeat(2.0 * self.w, self.m)  # budget per unit of mass moved
+        gain = (grad - grad.min(axis=1, keepdims=True)).ravel() / unit
+        order = np.argsort(-gain, kind="stable")
+        price = (unit * self.p.ravel())[order]
+        spend = np.clip(self.budget - (np.cumsum(price) - price), 0.0, price)
+        spend[gain[order] <= 0.0] = 0.0
+        moved = np.zeros(self.k * self.m)
+        moved[order] = spend / unit[order]
+        moved = np.minimum(moved.reshape(self.k, self.m), self.p)
+        s = self.p - moved
+        s[np.arange(self.k), grad.argmin(axis=1)] += moved.sum(axis=1)
+        return s
 
-    def gap_at(self, q: np.ndarray, grad: np.ndarray = None):
-        if grad is None:
-            grad = self.mi_grad(q)
-        s = self.linear_min(grad)
-        gap = float((grad * (q - s)).sum())
-        return max(gap, 0.0), s
+    def gap_at(self, q: np.ndarray, grad: np.ndarray) -> float:
+        return max(float((grad * (q - self.linear_min(grad))).sum()), 0.0)
 
 
-def _fista(prog, value, gradient, q0: np.ndarray, config: SolverConfig, budget=None):
+def _fista(prog, value, gradient, q0: np.ndarray, config: SolverConfig):
     """Accelerated projected gradient with restart and periodic gap checks.
 
     ``value``/``gradient`` act on support-restricted row matrices; returns
     (feasible iterate, value, certified gap).
     """
     tol = config.duality_gap_tol
-    ptol = config.projection_tol
-    if budget is None:
-        budget = config.max_iterations
-    q = prog.project(q0, ptol)
+    iterations = config.max_iterations
+    q = prog.project(q0)
     v = q.copy()
     t = 1.0
     lip = 1.0
     f_q = value(q)
     best = (f_q + np.inf, None, np.inf)
 
-    def certify(qc):
-        qf = prog.finish(qc)
-        gap, _ = prog.gap_at(qf, gradient(qf))
-        return qf, value(qf), gap
-
     it = 0
     stalled = 0
     last_metric = None
-    while it < budget:
+    while it < iterations:
         it += 1
         g_v = gradient(v)
         f_v = value(v)
         lip = max(lip / 2.0, 1e-6)
         for _ in range(60):
-            cand = prog.project(v - g_v / lip, ptol)
+            cand = prog.project(v - g_v / lip)
             diff = cand - v
             quad = f_v + (g_v * diff).sum() + 0.5 * lip * (diff * diff).sum()
             f_cand = value(cand)
@@ -290,15 +271,15 @@ def _fista(prog, value, gradient, q0: np.ndarray, config: SolverConfig, budget=N
             v = cand.copy()
             t_next = 1.0
         q, f_q, t = cand, f_cand, t_next
-        if it % _GAP_CHECK_EVERY == 0 or it == budget:
-            qf, f_f, gap = certify(q)
-            if f_f + gap < best[0] + best[2]:
-                best = (f_f, qf, gap)
+        if it % _GAP_CHECK_EVERY == 0 or it == iterations:
+            gap = prog.gap_at(q, gradient(q))
+            if f_q + gap < best[0] + best[2]:
+                best = (f_q, q, gap)
             if gap <= tol:
-                return qf, f_f, gap
+                return q, f_q, gap
             # When the certified value-plus-gap stops improving the iterate
-            # has plateaued short of the tolerance; hand off to the
-            # conditional-gradient polish instead of spinning here.
+            # has plateaued short of the tolerance; report the best
+            # certificate instead of spinning here.
             metric = best[0] + best[2]
             stalled = stalled + 1 if (
                 last_metric is not None and last_metric - metric <= 0.5 * tol
@@ -307,108 +288,8 @@ def _fista(prog, value, gradient, q0: np.ndarray, config: SolverConfig, budget=N
             if stalled >= 6:
                 break
     if best[1] is None:
-        qf, f_f, gap = certify(q)
-        best = (f_f, qf, gap)
+        best = (f_q, q, prog.gap_at(q, gradient(q)))
     return best[1], best[0], best[2]
-
-
-def _line_search(gradient, q, d, gamma_max: float) -> float:
-    """Exact minimizer of the convex restriction gamma -> f(q + gamma d)."""
-    if (gradient(q + gamma_max * d) * d).sum() <= 0.0:
-        return gamma_max
-    lo, hi = 0.0, gamma_max
-    for _ in range(70):
-        mid = 0.5 * (lo + hi)
-        if (gradient(q + mid * d) * d).sum() > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def _fw_polish(prog, value, gradient, q, config: SolverConfig, max_steps: int = 600):
-    """Away-step conditional gradient with exact line search.
-
-    Plain toward-vertex steps zig-zag near faces and stall the certified
-    gap around O(1/k); pairing them with away steps over the active atom
-    set restores a linear rate on the polytope. The incoming iterate joins
-    the atom pool as-is (it is feasible, so convex combinations stay in
-    the set) and is washed out by away steps if it was off-face.
-    """
-    tol = config.duality_gap_tol
-    atoms = [q.copy()]
-    weights = [1.0]
-    best = None
-    for _ in range(max_steps):
-        q = sum(w * a for w, a in zip(weights, atoms))
-        g = gradient(q)
-        gap, s = prog.gap_at(q, g)
-        if best is None or value(q) + gap < best[1] + best[2]:
-            best = (q, value(q), gap)
-        if gap <= 0.5 * tol:
-            break
-        away = max(range(len(atoms)), key=lambda i: (g * atoms[i]).sum())
-        d_fw = s - q
-        d_away = q - atoms[away]
-        if -(g * d_fw).sum() >= -(g * d_away).sum() or len(atoms) == 1:
-            gamma = _line_search(gradient, q, d_fw, 1.0)
-            if gamma <= 0.0:
-                break
-            weights = [w * (1.0 - gamma) for w in weights]
-            for i, a in enumerate(atoms):
-                if np.array_equal(a, s):
-                    weights[i] += gamma
-                    break
-            else:
-                atoms.append(s)
-                weights.append(gamma)
-        else:
-            w_a = weights[away]
-            gamma_max = w_a / (1.0 - w_a) if w_a < 1.0 else 1.0
-            gamma = _line_search(gradient, q, d_away, gamma_max)
-            if gamma <= 0.0:
-                break
-            weights = [w * (1.0 + gamma) for w in weights]
-            weights[away] -= gamma
-        keep = [i for i, w in enumerate(weights) if w > 1e-15]
-        atoms = [atoms[i] for i in keep]
-        weights = [weights[i] for i in keep]
-        total = sum(weights)
-        weights = [w / total for w in weights]
-    qf = prog.finish(best[0])
-    gap, _ = prog.gap_at(qf, gradient(qf))
-    return qf, value(qf), gap
-
-
-def _certified_min(prog, value, gradient, q0: np.ndarray, config: SolverConfig):
-    """Alternates accelerated descent and conditional-gradient polish.
-
-    Each mechanism unsticks the other: FISTA makes fast primal progress but
-    its certified gap can plateau, while Frank-Wolfe steps shrink the gap
-    directly but zig-zag on the primal. Stops at certification or when a
-    full round no longer improves value-plus-gap.
-    """
-    tol = config.duality_gap_tol
-    q, f, gap = _fista(prog, value, gradient, q0, config)
-    for _ in range(3):
-        if gap <= tol:
-            break
-        metric_before = f + gap
-        qp, fp, gapp = _fw_polish(prog, value, gradient, q, config)
-        if fp + gapp < f + gap:
-            q, f, gap = qp, fp, gapp
-        if gap <= tol:
-            break
-        qr, fr, gapr = _fista(
-            prog, value, gradient, q, config, budget=config.max_iterations // 16
-        )
-        if fr + gapr < f + gap:
-            q, f, gap = qr, fr, gapr
-        # Rounds that move the certified metric by only a few tolerances
-        # are riding the ill-conditioned tail; stop and report honestly.
-        if metric_before - (f + gap) <= 2.0 * tol:
-            break
-    return q, f, gap
 
 
 def delta_star(p0: Pmf, target: CondPmf) -> float:
@@ -485,7 +366,7 @@ def solve_two_node(
             ]
             q, point_value, gap = None, np.inf, np.inf
             for q0 in starts:
-                qs, fs, gs = _certified_min(prog, prog.mi, prog.mi_grad, q0, config)
+                qs, fs, gs = _fista(prog, prog.mi, prog.mi_grad, q0, config)
                 if fs + gs < point_value + gap or q is None:
                     q, point_value, gap = qs, fs, gs
                 # The second start is a safety net against a badly stuck
@@ -575,7 +456,7 @@ def solve_cascade(
 
         best = None
         for q0 in (start_a, prog.p.copy()):
-            qs, fs, gs = _certified_min(prog, value, gradient, q0, config)
+            qs, fs, gs = _fista(prog, value, gradient, q0, config)
             if best is None or fs + gs < best[1] + best[2]:
                 best = (qs, fs, gs)
             if best[2] <= 50.0 * config.duality_gap_tol:
@@ -585,7 +466,11 @@ def solve_cascade(
 
 
 def pareto_filter(points: Sequence[RegionPoint], tol: float = 1e-12) -> list:
-    """Drop points whose rate pairs are dominated by another point."""
+    """Drop points whose rate pairs are dominated by another point.
+
+    Points whose rates both agree within ``tol`` are one point; the first
+    in input (weight) order is kept.
+    """
     kept = []
     for p in points:
         dominated = False
@@ -599,7 +484,10 @@ def pareto_filter(points: Sequence[RegionPoint], tol: float = 1e-12) -> list:
             ):
                 dominated = True
                 break
-        if not dominated:
+        duplicate = any(
+            abs(q.R1 - p.R1) <= tol and abs(q.R2 - p.R2) <= tol for q in kept
+        )
+        if not (dominated or duplicate):
             kept.append(p)
     kept.sort(key=lambda pt: (pt.R1, pt.R2 if pt.R2 is not None else 0.0))
     return kept

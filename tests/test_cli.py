@@ -130,8 +130,8 @@ class TestRegionCommand:
             assert float(row["R2"]) <= 1e-9
 
     def test_tight_tolerance_reports_gap(self, tmp_path, capsys):
-        # ill-conditioned instance whose certificate plateaus around 1e-7,
-        # far above the requested tolerance
+        # ill-conditioned instance; 64 iterations leave its certificate
+        # (about 1.8e-9) above the requested tolerance
         doc = base_spec(
             source=[0.83442136, 0.04017557, 0.12540307],
             alphabets={"x": 3, "y": 3},
@@ -192,6 +192,16 @@ class TestSimulateCommand:
         report = cell["report"]
         band = 4 * report["standard_error"] + 1e-12
         assert abs(report["mean_tv"] - exact) <= band
+
+    def test_overflowing_message_set_is_skipped(self, tmp_path, capsys):
+        # 2^(64 * 20) messages is past the float range
+        spec = write_spec(tmp_path, base_spec(n_grid=[64], rates={"R1": 20.0}))
+        rc = cli.main(["simulate", "--spec", spec, "--out", str(tmp_path)])
+        assert rc == cli.EXIT_PARTIAL
+        assert "skipped" in capsys.readouterr().err
+        (row,) = read_rows(tmp_path / "simulation.csv")
+        assert row["skipped"] == "1"
+        assert "float range" in row["reason"]
 
     def test_env_jobs_invalid(self, tmp_path, monkeypatch, capsys):
         spec = write_spec(tmp_path, base_spec())

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from coordlab import prob_core as pc
 from coordlab import region_solver as rs
@@ -10,6 +11,50 @@ from coordlab.instances import random_two_node_instances
 
 def h2(t):
     return -t * math.log2(t) - (1 - t) * math.log2(1 - t)
+
+
+def lp_argmin(prog, c):
+    """Reference LMO: argmin of <c, s> over the feasible set as a linear
+    program in (s, u) with u >= |s - p| and sum_x w_x sum_y u_xy <= 2 delta."""
+    k, m = prog.k, prog.m
+    km = k * m
+    a_eq = np.zeros((k, 2 * km))
+    for x in range(k):
+        a_eq[x, x * m : (x + 1) * m] = 1.0
+    ident = np.eye(km)
+    a_ub = np.vstack(
+        [
+            np.hstack([ident, -ident]),
+            np.hstack([-ident, -ident]),
+            np.hstack([np.zeros(km), np.repeat(prog.w, m)])[None, :],
+        ]
+    )
+    pflat = prog.p.ravel()
+    res = linprog(
+        np.concatenate([c.ravel(), np.zeros(km)]),
+        A_ub=a_ub,
+        b_ub=np.concatenate([pflat, -pflat, [prog.budget]]),
+        A_eq=a_eq,
+        b_eq=np.ones(k),
+        bounds=[(0, None)] * (2 * km),
+        method="highs",
+    )
+    assert res.success, res.message
+    return res.x[:km].reshape(k, m)
+
+
+def battery_programs(fraction):
+    """Criterion 03's battery, each at delta = fraction * delta_star."""
+    return [
+        rs._NeighborhoodProgram(p0, tgt, fraction * rs.delta_star(p0, tgt))
+        for p0, tgt in random_two_node_instances(20, seed=424242)
+    ]
+
+
+def assert_feasible(prog, q):
+    assert np.abs(q.sum(axis=1) - 1.0).max() <= pc.NORM_TOL
+    assert q.min() >= 0.0
+    assert prog.l1_cost(q) <= prog.budget + 1e-15  # a rounded sum
 
 
 class TestSolverConfig:
@@ -178,7 +223,7 @@ class TestMembership:
 
 class TestParetoFilter:
     def test_drops_dominated(self, identity_channel):
-        def mk(r1, r2):
+        def mk(r1, r2, lam=None):
             return rs.RegionPoint(
                 R1=r1,
                 R2=r2,
@@ -186,7 +231,64 @@ class TestParetoFilter:
                 argmin_conditional=identity_channel,
                 certificate=0.0,
                 provenance="solver",
+                lam=lam,
             )
 
         kept = rs.pareto_filter([mk(1.0, 0.2), mk(0.5, 0.5), mk(1.0, 0.6)])
         assert [(p.R1, p.R2) for p in kept] == [(0.5, 0.5), (1.0, 0.2)]
+        # rates equal to rounding are one point, the first in weight order
+        kept = rs.pareto_filter(
+            [mk(0.3, 0.5, 0.25), mk(0.3 + 1e-16, 0.5, 0.5), mk(0.3, 0.5, 0.75)]
+        )
+        assert [p.lam for p in kept] == [0.25]
+
+
+class TestProjection:
+    def test_near_target_points(self):
+        # the projection q of v is characterized by (v - q).(s - q) <= 0
+        # for every feasible s; the LP finds the s that maximizes it
+        rng = np.random.default_rng(31)
+        worst = -np.inf
+        for prog in battery_programs(0.4):
+            for scale in np.repeat([0.01, 0.1, 1.0], 7):
+                v = prog.p + scale * rng.standard_normal(prog.p.shape)
+                q = prog.project(v)
+                assert_feasible(prog, q)
+                s = lp_argmin(prog, q - v)
+                worst = max(worst, float(((v - q) * (s - q)).sum()))
+        assert worst <= 1e-12
+
+    def test_large_steps(self):
+        # FISTA steps with a small Lipschitz estimate land far from the set
+        # (zeros in q0 make the gradient's log terms large); rounding in q
+        # then scales with the spread of v within a row
+        rng = np.random.default_rng(32)
+        for prog in battery_programs(0.4):
+            for lip in (1e-6, 1e-3):
+                q0 = prog.project(rng.dirichlet(np.ones(prog.m), size=prog.k))
+                q0[rng.random(q0.shape) < 0.3] = 0.0
+                v = q0 - prog.mi_grad(q0) / lip
+                q = prog.project(v)
+                assert_feasible(prog, q)
+                pc.CondPmf(q)
+                spread = float((v.max(axis=1) - v.min(axis=1)).max())
+                s = lp_argmin(prog, q - v)
+                assert float(((v - q) * (s - q)).sum()) <= 1e-12 * spread**2
+
+
+class TestLinearMin:
+    def test_matches_linear_program(self):
+        # 4 radii x 20 programs x 13 gradients = 1040 comparisons
+        rng = np.random.default_rng(41)
+        worst = 0.0
+        for fraction in (0.1, 0.4, 0.9, 1.5):
+            for prog in battery_programs(fraction):
+                for i in range(13):
+                    grad = rng.standard_normal(prog.p.shape)
+                    if i % 3 == 0:  # ties within and across rows
+                        grad = np.round(2.0 * grad) / 2.0
+                    s = prog.linear_min(grad)
+                    assert_feasible(prog, s)
+                    ref = lp_argmin(prog, grad)
+                    worst = max(worst, abs(float((grad * (s - ref)).sum())))
+        assert worst <= 1e-12
