@@ -7,15 +7,29 @@ codes with a minimum-TV joint-type encoder, the block-repetition operator,
 exact evaluation of the expected type distortion at enumeration scale, and a
 chunked deterministic Monte-Carlo estimator for everything larger.
 
-Large binary codebooks are stored as uint64 bitmasks and the encoder scan
-runs on popcounts with an early exit at the exact per-composition TV floor,
-which keeps minimum-TV encoding tractable for tens of millions of codewords.
+The minimum-TV encoder only ever compares joint types, and at a fixed
+source composition a joint type is a small integer count vector. So each
+code tabulates, once per composition it meets, the TV of every reachable
+count vector, computed with the same float expression the encoder promises;
+scoring a codeword is then an integer index and one lookup, and the chosen
+message (minimum TV, lowest index on float-equal ties) is exactly what a
+per-codeword float TV would give.
+
+- Binary codebooks (n <= 64) are uint64 bitmasks; a word's index comes from
+  popcounts. Up to 2^16 words every word is scored against cache-sized
+  sample batches. Larger codebooks walk the table in increasing TV and look
+  the candidate words of each level up in a sorted word index, with a block
+  scan through the table when a level would enumerate too many words.
+- Symbol-row codebooks (larger action alphabets, cascades) get their table
+  index from one small matmul of per-sample place values with the
+  codewords' one-hot rows; compositions whose table would be too large take
+  the per-codeword loop.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -28,8 +42,15 @@ MC_CHUNK = 4096            # samples per Monte-Carlo chunk (one RNG substream ea
 ENUM_GUARD = 4096          # max |X|^n for exact enumeration paths
 DEFAULT_TABLE_CAP = 1 << 26  # max message-set size for constructed codes
 _PACKED_SCAN_BLOCK = 1 << 18   # codewords per block in the early-exit scan
-_BROADCAST_MAX = 1 << 22       # max samples*codewords elements per broadcast batch
+_BROADCAST_WORDS = 1 << 16     # packed codebooks up to this size score every word
+_BROADCAST_MAX = 1 << 16       # samples*codewords per lookup batch (cache-sized)
 _CANDIDATE_CAP = 200_000       # max enumerated action words per encoded sample
+_SYMBOL_TABLE_CAP = 1 << 20    # max entries of one symbol-row TV table
+_SYMBOL_BLOCK = 1024           # codewords per one-hot block of the symbol kernel
+# Multiply-adds per symbol-kernel matmul. OpenBLAS runs a product of up to
+# 4 * 65536 on the calling thread; threaded small products stall whenever a
+# helper thread is descheduled, which on a shared host made them 10-100x slower.
+_MATMUL_MAX = 1 << 18
 _MAX_LOG2_COUNT = 1024.0       # 2.0 ** 1024 overflows a float
 
 
@@ -83,33 +104,14 @@ def _tv_rows(counts: np.ndarray, n: int, target_flat: np.ndarray) -> np.ndarray:
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack (S, n<=64) {0,1} rows into uint64 masks, bit t = position t."""
     s, n = bits.shape
-    packed8 = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
-    if packed8.shape[1] < 8:
-        pad = np.zeros((s, 8 - packed8.shape[1]), dtype=np.uint8)
-        packed8 = np.concatenate([packed8, pad], axis=1)
-    return packed8.view(np.uint64).ravel()
+    padded = np.zeros((s, 64), dtype=bool)
+    padded[:, :n] = bits
+    return np.packbits(padded.ravel(), bitorder="little").view(np.uint64)
 
 
 def _unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
     shifts = np.arange(n, dtype=np.uint64)
     return ((words[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.int64)
-
-
-def _subset_or(bits: np.ndarray, c: int) -> np.ndarray:
-    """OR of every size-c subset of disjoint single-bit words, one per row."""
-    k = bits.shape[0]
-    if c == 0:
-        return np.zeros(1, dtype=np.uint64)
-    if c > k - c:
-        # enumerate the complement instead; disjoint bits make OR a sum
-        return bits.sum(dtype=np.uint64) - _subset_or(bits, k - c)
-    if c == 1:
-        return bits.copy()
-    if c == 2:
-        iu = np.triu_indices(k, k=1)
-        return (bits[iu[0]] + bits[iu[1]]).astype(np.uint64)
-    idx = np.array(list(itertools.combinations(range(k), c)), dtype=np.int64)
-    return bits[idx].sum(axis=1, dtype=np.uint64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,6 +203,50 @@ class TableCode:
         return (y, z)
 
 
+class _WordIndex:
+    """A packed codebook sorted by (word, message index), for exact lookups.
+
+    Keys are word << shift | index when both fit in 64 bits, so one
+    in-place sort orders the words and breaks ties by index, with no index
+    array; otherwise the keys are the words in stable order, with their
+    indices beside them.
+    """
+
+    def __init__(self, words: np.ndarray, n: int):
+        m = words.shape[0]
+        shift = max(1, (m - 1).bit_length())
+        if n + shift <= 64:
+            keys = np.left_shift(words, np.uint64(shift))
+            for lo in range(0, m, _PACKED_SCAN_BLOCK):
+                hi = min(lo + _PACKED_SCAN_BLOCK, m)
+                keys[lo:hi] |= np.arange(lo, hi, dtype=np.uint64)
+            keys.sort()
+            self.order = None
+        else:
+            shift = 0
+            self.order = np.argsort(words, kind="stable")
+            keys = words[self.order]
+        self.keys = keys
+        self.shift = np.uint64(shift)
+
+    def first_index(self, queries: np.ndarray) -> int:
+        """Lowest message index whose word is among queries, else -1.
+
+        Sorted queries walk the keys in order. The first key at or above
+        word << shift holds the word's lowest index.
+        """
+        pos = np.searchsorted(self.keys, queries << self.shift)
+        pos = np.minimum(pos, self.keys.shape[0] - 1)
+        found = self.keys[pos]
+        hit = (found >> self.shift) == queries
+        if not hit.any():
+            return -1
+        if self.order is None:
+            low = np.uint64((1 << int(self.shift)) - 1)
+            return int((found[hit] & low).min())
+        return int(self.order[pos[hit]].min())
+
+
 @dataclass(frozen=True, eq=False)
 class CodebookCode:
     """Random-codebook code whose encoder is computed on demand.
@@ -233,6 +279,10 @@ class CodebookCode:
                 raise ValueError("packed storage needs binary actions and n <= 64")
             if self.packed_y.shape != (m1,):
                 raise ValueError(f"packed codebook must have {m1} words")
+            # the table index takes the last symbol's ones as popcount(word)
+            # minus the others, which needs every set bit below n
+            if self.packed_y.size and int(self.packed_y.max()) >> self.n:
+                raise ValueError(f"packed codeword with a bit at or above n = {self.n}")
         else:
             if self.symbols_y.shape != (m1, self.n):
                 raise ValueError(f"codebook must be ({m1}, {self.n})")
@@ -252,12 +302,16 @@ class CodebookCode:
             arr = getattr(self, name)
             if arr is not None:
                 arr.setflags(write=False)
-        # per-composition exact TV floors for the early-exit scan, the
-        # TV-sorted count-combo tables for candidate search, and the lazily
-        # built sorted view of the packed codebook
-        object.__setattr__(self, "_floor_cache", {})
-        object.__setattr__(self, "_combo_cache", {})
-        object.__setattr__(self, "_sorted_cache", None)
+        # Per-composition TV tables and their TV-sorted walks, subset index
+        # arrays for the candidate walk, and the lazily built word index of
+        # the packed codebook. Monte-Carlo worker threads fill them; each
+        # entry is a pure function of its key, so a lost race only repeats
+        # work. The word index is large, so it is built under a lock.
+        object.__setattr__(self, "_tables", {})
+        object.__setattr__(self, "_walks", {})
+        object.__setattr__(self, "_subsets", {})
+        object.__setattr__(self, "_index_cache", None)
+        object.__setattr__(self, "_index_lock", threading.Lock())
 
     @property
     def is_cascade(self) -> bool:
@@ -273,7 +327,7 @@ class CodebookCode:
     def m1(self) -> int:
         return message_count(self.n, self.rate1)
 
-    # -- packed kernel ----------------------------------------------------
+    # -- per-composition TV tables ----------------------------------------
 
     def _nj_split(self, target: JointPmf):
         """n * target mass split by action bit, per source symbol."""
@@ -283,8 +337,8 @@ class CodebookCode:
     def _tv_from_c1(self, c1_cols, comp, nj0, nj1) -> np.ndarray:
         """TV of the (X,Y) type to the target, from counts of y=1 per x.
 
-        Identical accumulation order everywhere so that floor comparisons
-        hold with exact float equality.
+        Identical accumulation order everywhere so that table entries and
+        level comparisons hold with exact float equality.
         """
         acc = None
         for a in range(self.x_size):
@@ -294,104 +348,224 @@ class CodebookCode:
             acc = term if acc is None else acc + term
         return acc * (0.5 / self.n)
 
-    def _floor_for(self, comp: tuple) -> float:
-        """Exact minimum TV attainable by ANY action block at this source
-        composition; the scan can stop at the first codeword reaching it."""
-        cached = self._floor_cache.get(comp)
-        if cached is not None:
-            return cached
-        nj0, nj1 = self._nj_split(self.target)
-        grids = np.meshgrid(
-            *[np.arange(c + 1, dtype=np.float64) for c in comp], indexing="ij"
-        )
-        cols = [g.ravel() for g in grids]
-        floor = float(self._tv_from_c1(cols, comp, nj0, nj1).min())
-        self._floor_cache[comp] = floor
-        return floor
+    @property
+    def _row_symbols(self) -> int:
+        """Action symbols per codeword position: |Y|, or |Y||Z| for cascades."""
+        return self.y_size * (self.z_size if self.is_cascade else 1)
 
-    def _combo_table(self, comp: tuple):
-        """All count combos at this composition sorted ascending by TV.
+    def _radix(self, comp: tuple) -> list:
+        """Digit ranges of the table index at source composition comp.
 
-        Returns (combos (K, A) int array, tv (K,) floats). TV floats come
-        from the same accumulation as the scan kernel, so level equality is
-        exact.
+        Packed codes: the ones of the codeword per source symbol. Symbol
+        codes: the count of each action symbol but the last, per source
+        symbol (the last one is what the composition leaves over).
         """
-        hit = self._combo_cache.get(comp)
-        if hit is not None:
-            return hit
-        nj0, nj1 = self._nj_split(self.target)
-        grids = np.meshgrid(
-            *[np.arange(c + 1, dtype=np.float64) for c in comp], indexing="ij"
-        )
-        cols = [g.ravel() for g in grids]
-        tv = self._tv_from_c1(cols, comp, nj0, nj1)
-        order = np.argsort(tv, kind="stable")
-        combos = np.stack(cols, axis=1)[order].astype(np.int64)
-        hit = (combos, tv[order])
-        self._combo_cache[comp] = hit
+        if self.packed_y is not None:
+            return [c + 1 for c in comp]
+        return [c + 1 for c in comp for _ in range(self._row_symbols - 1)]
+
+    def _table(self, comp: tuple) -> Optional[np.ndarray]:
+        """TV to the target of every count vector the encoder can meet at
+        source composition comp, flat in the mixed radix of ``_radix`` (last
+        digit fastest).
+
+        Entries come from the encoders' own float expressions
+        (``_tv_from_c1`` for packed codes, ``_tv_rows`` for symbol rows), so
+        scoring a codeword by lookup keeps every float and every tie
+        exactly. Unreachable entries of a symbol table are inf. None when a
+        symbol table would exceed ``_SYMBOL_TABLE_CAP`` entries.
+        """
+        if comp in self._tables:
+            return self._tables[comp]
+        radix = self._radix(comp)
+        if self.packed_y is not None:
+            nj0, nj1 = self._nj_split(self.target)
+            grids = np.meshgrid(
+                *[np.arange(r, dtype=np.float64) for r in radix], indexing="ij"
+            )
+            table = self._tv_from_c1([g.ravel() for g in grids], comp, nj0, nj1)
+        elif math.prod(radix) > _SYMBOL_TABLE_CAP:
+            table = None
+        else:
+            k = self._row_symbols
+            counts = np.zeros((1, 0), dtype=np.int64)
+            for c in comp:
+                free = np.indices((c + 1,) * (k - 1)).reshape(k - 1, (c + 1) ** (k - 1)).T
+                free = free[free.sum(axis=1) <= c]
+                rows = np.column_stack([free, c - free.sum(axis=1)])
+                counts = np.concatenate(
+                    [
+                        np.repeat(counts, rows.shape[0], axis=0),
+                        np.tile(rows, (counts.shape[0], 1)),
+                    ],
+                    axis=1,
+                )
+            place = self._strides(comp).ravel()
+            table = np.full(math.prod(radix), np.inf)
+            table[counts @ place] = _tv_rows(counts, self.n, self.target.mass.ravel())
+        self._tables[comp] = table
+        return table
+
+    def _strides(self, comp: tuple) -> np.ndarray:
+        """Place value of each count in the table index.
+
+        Packed codes: (A,), one per source symbol. Symbol codes: (A, K)
+        over (source symbol, action symbol), 0 for the last action symbol.
+        """
+        radix = self._radix(comp)
+        place = np.ones(len(radix), dtype=np.int64)
+        for i in range(len(radix) - 2, -1, -1):
+            place[i] = place[i + 1] * radix[i + 1]
+        if self.packed_y is not None:
+            return place
+        k = self._row_symbols
+        out = np.zeros((self.x_size, k), dtype=np.int64)
+        out[:, : k - 1] = place.reshape(self.x_size, k - 1)
+        return out
+
+    def _batch_tables(self, comps: np.ndarray):
+        """Tables of the distinct compositions among the rows of comps.
+
+        Returns (row -> distinct index, place values of each distinct
+        composition, their tables concatenated, where each table starts in
+        it, which tables are over the cap).
+        """
+        uniq, inv = np.unique(comps, axis=0, return_inverse=True)
+        keys = [tuple(int(c) for c in u) for u in uniq]
+        tables = [self._table(key) for key in keys]
+        over = np.array([t is None for t in tables], dtype=bool)
+        sizes = [0 if t is None else t.size for t in tables]
+        starts = np.cumsum([0, *sizes[:-1]], dtype=np.int64)
+        flat = np.concatenate([t for t in tables if t is not None] or [np.empty(0)])
+        places = np.stack([self._strides(key) for key in keys])
+        return inv.ravel(), places, flat, starts, over
+
+    # -- packed kernels ---------------------------------------------------
+
+    def _packed_scores(self, words, ones, masks, base, coef, flat) -> np.ndarray:
+        """Table TV of every codeword against every sample: (S, W).
+
+        The index is base + Σ_a c1_a * place_a with c1 the ones of the word
+        on source symbol a's positions. The last symbol's place is 1 and its
+        ones are popcount(word) minus the others', so coef = place − 1 for
+        all symbols but the last.
+        """
+        idx = base[:, None] + ones[None, :]
+        for a in range(coef.shape[0]):
+            hits = np.bitwise_count(words[None, :] & masks[a][:, None])
+            idx += hits * coef[a][:, None]
+        return flat[idx]
+
+    def _walk(self, comp: tuple):
+        """The packed table in increasing TV order.
+
+        Returns (count combos, start of each run of equal TV and one past
+        the end, action words enumerated before each combo). Equal TVs keep
+        index order, and the first entry is the exact floor over all action
+        blocks.
+        """
+        hit = self._walks.get(comp)
+        if hit is None:
+            table = self._table(comp)
+            order = np.argsort(table, kind="stable")
+            combos = np.stack(np.unravel_index(order, self._radix(comp)), axis=1)
+            tv = table[order]
+            bounds = np.flatnonzero(tv[1:] != tv[:-1]) + 1
+            words = np.ones(tv.size)
+            for a, k in enumerate(comp):
+                words *= np.array([math.comb(k, c) for c in range(k + 1)], dtype=float)[combos[:, a]]
+            spent = np.concatenate([[0.0], np.cumsum(words)])
+            hit = (combos.tolist(), [0, *bounds.tolist(), tv.size], spent.tolist())
+            self._walks[comp] = hit
         return hit
 
-    def _sorted_codebook(self):
-        cached = self._sorted_cache
-        if cached is None:
-            order = np.argsort(self.packed_y, kind="stable")
-            cached = (self.packed_y[order], order)
-            object.__setattr__(self, "_sorted_cache", cached)
-        return cached
+    def _combinations(self, k: int, c: int) -> np.ndarray:
+        """Every size-c subset of range(k) as a (comb(k, c), c) index array,
+        by Pascal's rule: the subsets without k - 1, then those with it."""
+        hit = self._subsets.get((k, c))
+        if hit is None:
+            if c == 0 or c == k:
+                hit = np.arange(c, dtype=np.intp)[None, :]
+            else:
+                with_last = self._combinations(k - 1, c - 1)
+                tail = np.full((with_last.shape[0], 1), k - 1, dtype=np.intp)
+                hit = np.concatenate(
+                    [self._combinations(k - 1, c), np.hstack([with_last, tail])]
+                )
+            self._subsets[(k, c)] = hit
+        return hit
 
-    def _nn_search(self, x_row: np.ndarray):
+    def _subset_or(self, bits: np.ndarray, c: int) -> np.ndarray:
+        """OR of every size-c subset of disjoint single-bit words."""
+        k = bits.shape[0]
+        if c > k - c:
+            # enumerate the complement instead; disjoint bits make OR a sum
+            return bits.sum(dtype=np.uint64) - self._subset_or(bits, k - c)
+        return bits[self._combinations(k, c)].sum(axis=1, dtype=np.uint64)
+
+    def _word_index(self) -> "_WordIndex":
+        """The packed codebook's word index, built once."""
+        with self._index_lock:
+            if self._index_cache is None:
+                object.__setattr__(self, "_index_cache", _WordIndex(self.packed_y, self.n))
+        return self._index_cache
+
+    def _nn_search(self, x_row: np.ndarray, comp: tuple) -> Optional[int]:
         """Exact min-TV codeword by candidate enumeration.
 
-        Walks count combos in increasing TV; the candidate action words of a
-        combo are all placements of the per-symbol one-counts, looked up in
-        the sorted codebook. The first nonempty TV level yields the optimum,
-        with the lowest original index among all attaining codewords. Falls
-        back (returns None) when a level would enumerate too many words,
-        which happens for diffuse targets where the scan kernel is the
+        Walks the composition's table in increasing TV; the candidate action
+        words of a count combo are all placements of the per-symbol ones,
+        looked up in the sorted codebook. The first TV level with a hit
+        holds the optimum, and its lowest original index among all attaining
+        codewords. Returns None when a level would enumerate too many
+        words, which happens for diffuse targets where the scan is the
         better tool anyway.
         """
+        if math.prod(c + 1 for c in comp) > _CANDIDATE_CAP:
+            return None
         part_bits = [
-            (np.uint64(1) << np.nonzero(x_row == a)[0].astype(np.uint64))
+            np.uint64(1) << np.flatnonzero(x_row == a).astype(np.uint64)
             for a in range(self.x_size)
         ]
-        comp = tuple(int(b.shape[0]) for b in part_bits)
-        if int(np.prod([c + 1 for c in comp])) > _CANDIDATE_CAP:
-            return None
-        combos, tvs = self._combo_table(comp)
-        words_sorted, idx_sorted = self._sorted_codebook()
-        m1 = words_sorted.shape[0]
-        budget = _CANDIDATE_CAP
-        i = 0
-        while i < combos.shape[0]:
-            level = tvs[i]
-            best_idx = -1
-            best_combo = None
-            while i < combos.shape[0] and tvs[i] == level:
-                counts = combos[i]
-                size = 1
-                for a in range(self.x_size):
-                    size *= math.comb(comp[a], int(counts[a]))
-                budget -= size
-                if budget < 0:
-                    return None
-                words = _subset_or(part_bits[0], int(counts[0]))
-                for a in range(1, self.x_size):
-                    nxt = _subset_or(part_bits[a], int(counts[a]))
-                    words = (words[:, None] | nxt[None, :]).ravel()
-                pos = np.searchsorted(words_sorted, words)
-                inb = pos < m1
-                if inb.any():
-                    hitmask = np.zeros(words.shape[0], dtype=bool)
-                    hitmask[inb] = words_sorted[pos[inb]] == words[inb]
-                    if hitmask.any():
-                        cand = int(idx_sorted[pos[hitmask]].min())
-                        if best_idx < 0 or cand < best_idx:
-                            best_idx = cand
-                            best_combo = counts
-                i += 1
-            if best_idx >= 0:
-                return best_idx, best_combo.astype(np.float64)
+        combos, bounds, spent = self._walk(comp)
+        index = self._word_index()
+        subsets = {}  # (symbol, ones) -> words, shared by the combos
+        for lo, hi in zip(bounds, bounds[1:]):
+            if spent[hi] > _CANDIDATE_CAP:
+                return None
+            level = []
+            for counts in combos[lo:hi]:
+                words = None
+                for a, c in enumerate(counts):
+                    nxt = subsets.get((a, c))
+                    if nxt is None:
+                        nxt = subsets[a, c] = self._subset_or(part_bits[a], c)
+                    words = nxt if words is None else (words[:, None] | nxt).ravel()
+                level.append(words)
+            best = index.first_index(np.sort(np.concatenate(level)))
+            if best >= 0:
+                return best
         return None
+
+    def _scan_packed(self, mask: np.ndarray, comp: tuple) -> int:
+        """Exact min-TV codeword of one sample by a block scan through its
+        table, stopping at the first block that reaches the table's floor."""
+        cb = self.packed_y
+        table = self._table(comp)
+        floor = table.min()
+        coef = (self._strides(comp)[:-1] - 1)[:, None]
+        base = np.zeros(1, dtype=np.int64)
+        best_tv, best_j = np.inf, -1
+        for lo in range(0, cb.shape[0], _PACKED_SCAN_BLOCK):
+            words = cb[lo : lo + _PACKED_SCAN_BLOCK]
+            ones = np.bitwise_count(words).astype(np.int64)
+            tv = self._packed_scores(words, ones, mask[:, None], base, coef, table)[0]
+            j = int(tv.argmin())
+            if tv[j] < best_tv:
+                best_tv, best_j = tv[j], lo + j
+            if best_tv == floor:
+                break
+        return best_j
 
     def _encode_packed(self, x_batch: np.ndarray):
         """Min-TV encoding of binary-action batches.
@@ -403,88 +577,110 @@ class CodebookCode:
         cb = self.packed_y
         m1 = cb.shape[0]
         s = x_batch.shape[0]
-        nj0, nj1 = self._nj_split(self.target)
-        masks = np.stack(
-            [_pack_bits((x_batch == a).astype(np.uint8)) for a in range(self.x_size)]
-        )  # (A, S)
-        comps = np.stack(
-            [(x_batch == a).sum(axis=1) for a in range(self.x_size)]
-        )  # (A, S)
+        masks = np.stack([_pack_bits(x_batch == a) for a in range(self.x_size)])
+        comps = np.bitwise_count(masks).astype(np.int64)  # (A, S)
         out_idx = np.empty(s, dtype=np.int64)
-        out_c1 = np.empty((self.x_size, s), dtype=np.float64)
 
-        if m1 <= 1 << 16:
-            # broadcast all codewords against sample sub-batches
+        if m1 <= _BROADCAST_WORDS:
+            # every codeword against cache-sized sample batches
+            inv, places, flat, starts, _ = self._batch_tables(comps.T)
+            coef = (places[:, :-1] - 1)[inv].T  # (A - 1, S)
+            base = starts[inv]
+            ones = np.bitwise_count(cb).astype(np.int64)
             step = max(1, _BROADCAST_MAX // m1)
             for lo in range(0, s, step):
                 hi = min(lo + step, s)
-                cols = [
-                    np.bitwise_count(cb[None, :] & masks[a, lo:hi, None]).astype(
-                        np.float64
-                    )
-                    for a in range(self.x_size)
-                ]  # each (b, m1)
-                tv = self._tv_from_c1(
-                    cols, comps[:, lo:hi, None], nj0[:, None, None], nj1[:, None, None]
+                tv = self._packed_scores(
+                    cb, ones, masks[:, lo:hi], base[lo:hi], coef[:, lo:hi], flat
                 )
-                best = tv.argmin(axis=1)  # first minimum per sample
-                out_idx[lo:hi] = best
-                rows = np.arange(hi - lo)
-                for a in range(self.x_size):
-                    out_c1[a, lo:hi] = cols[a][rows, best]
-            return out_idx, out_c1
-
-        for i in range(s):
-            found = self._nn_search(x_batch[i])
-            if found is not None:
-                out_idx[i] = found[0]
-                out_c1[:, i] = found[1]
-                continue
-            comp = tuple(int(c) for c in comps[:, i])
-            floor = self._floor_for(comp)
-            best_tv = np.inf
-            best_j = -1
-            best_c1 = None
-            for lo in range(0, m1, _PACKED_SCAN_BLOCK):
-                hi = min(lo + _PACKED_SCAN_BLOCK, m1)
-                cols = [
-                    np.bitwise_count(cb[lo:hi] & masks[a, i]).astype(np.float64)
-                    for a in range(self.x_size)
-                ]
-                tv = self._tv_from_c1(cols, comps[:, i], nj0, nj1)
-                j = int(tv.argmin())
-                if tv[j] < best_tv:
-                    best_tv = float(tv[j])
-                    best_j = lo + j
-                    best_c1 = [float(c[j]) for c in cols]
-                if best_tv == floor:
-                    break
-            out_idx[i] = best_j
-            out_c1[:, i] = best_c1
+                out_idx[lo:hi] = tv.argmin(axis=1)  # first minimum per sample
+        else:
+            for i in range(s):
+                comp = tuple(int(c) for c in comps[:, i])
+                found = self._nn_search(x_batch[i], comp)
+                out_idx[i] = found if found is not None else self._scan_packed(
+                    masks[:, i], comp
+                )
+        chosen = cb[out_idx]
+        out_c1 = np.stack(
+            [np.bitwise_count(chosen & masks[a]) for a in range(self.x_size)]
+        ).astype(np.float64)
         return out_idx, out_c1
 
-    # -- generic kernel ---------------------------------------------------
+    # -- symbol-row kernels -----------------------------------------------
+
+    def _action_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Codeword rows lo..hi as one action symbol per position: y, or
+        y·|Z| + z of the recoded z-codeword for cascades."""
+        rows = self.symbols_y[lo:hi]
+        if self.is_cascade:
+            rows = rows * self.z_size + self.symbols_z[self.recoder[lo:hi]]
+        return rows
 
     def _encode_symbols(self, x_batch: np.ndarray) -> np.ndarray:
-        cb_y = self.symbols_y
-        m1 = cb_y.shape[0]
+        """Min-TV encoding of symbol-row codebooks through the TV tables.
+
+        A codeword's table index is Σ_t place[x_t, u_t] over its action
+        symbols u; over a block of codewords and a batch of samples that is
+        one matmul of the per-sample place rows with the codewords' one-hot
+        rows, exact in float32 because every partial sum is an integer below
+        ``_SYMBOL_TABLE_CAP``. Samples whose table is over the cap take
+        the per-codeword reference loop.
+        """
+        s = x_batch.shape[0]
+        k = self._row_symbols
+        m1 = self.symbols_y.shape[0]
+        comps = np.stack([(x_batch == a).sum(axis=1) for a in range(self.x_size)], axis=1)
+        inv, places, flat, starts, over = self._batch_tables(comps)
+        out = np.zeros(s, dtype=np.int64)
+        over = over[inv]
+        if over.any():
+            out[over] = self._encode_symbols_rowwise(x_batch[over])
+        keep = np.flatnonzero(~over)
+        if keep.size == 0:
+            return out
+        inv = inv[keep]
+        base = starts[inv]
+        x = x_batch[keep]
+        lanes = places[inv[:, None], x][:, :, : k - 1]  # (S', n, K-1)
+        lanes = lanes.transpose(0, 2, 1).reshape(keep.size, -1).astype(np.float32)
+        symbols = np.arange(k - 1)[None, :, None]
+        best_tv = np.full(keep.size, np.inf)
+        best_j = np.zeros(keep.size, dtype=np.int64)
+        step = max(1, _MATMUL_MAX // (_SYMBOL_BLOCK * max(1, lanes.shape[1])))
+        for lo in range(0, m1, _SYMBOL_BLOCK):
+            hi = min(lo + _SYMBOL_BLOCK, m1)
+            rows = self._action_rows(lo, hi)
+            onehot = (rows[:, None, :] == symbols).astype(np.float32).reshape(hi - lo, -1)
+            for b0 in range(0, keep.size, step):
+                b1 = min(b0 + step, keep.size)
+                idx = (lanes[b0:b1] @ onehot.T).astype(np.int64)
+                idx += base[b0:b1, None]
+                tv = flat[idx]
+                j = tv.argmin(axis=1)
+                v = tv[np.arange(b1 - b0), j]
+                better = v < best_tv[b0:b1]
+                best_tv[b0:b1][better] = v[better]
+                best_j[b0:b1][better] = lo + j[better]
+        out[keep] = best_j
+        return out
+
+    def _encode_symbols_rowwise(self, x_batch: np.ndarray) -> np.ndarray:
+        """Reference encoder: the type and TV of every codeword, per sample."""
         sizes = self.action_sizes
         cells = int(np.prod(sizes))
         target_flat = self.target.mass.ravel()
-        if self.is_cascade:
-            cb_last = self.symbols_z[self.recoder]  # aligned to message1
+        rows = self._action_rows(0, self.symbols_y.shape[0])
         out = np.empty(x_batch.shape[0], dtype=np.int64)
         for i, x in enumerate(x_batch):
-            jc = x[None, :] * sizes[1] + cb_y
-            if self.is_cascade:
-                jc = jc * sizes[2] + cb_last
-            counts = _type_counts(jc, cells)
-            tv = _tv_rows(counts, self.n, target_flat)
-            out[i] = int(tv.argmin())
+            counts = _type_counts(x[None, :] * self._row_symbols + rows, cells)
+            out[i] = int(_tv_rows(counts, self.n, target_flat).argmin())
         return out
 
     def encode(self, x_batch: np.ndarray) -> np.ndarray:
         x = _as_batch(x_batch, self.n, self.x_size)
+        if x.shape[0] == 0:
+            return np.empty(0, dtype=np.int64)
         if self.packed_y is not None:
             return self._encode_packed(x)[0]
         return self._encode_symbols(x)
@@ -680,9 +876,7 @@ def expected_type_of_code(code, p0: Pmf) -> JointPmf:
 
 def _chunk_tvs(code, p0: Pmf, target: JointPmf, size: int, child) -> np.ndarray:
     """Per-sample TVs for one Monte-Carlo chunk with its own substream."""
-    rng = np.random.default_rng(child)
-    cdf = np.cumsum(p0.mass)
-    x = np.searchsorted(cdf[:-1], rng.random((size, code.n)), side="right")
+    x = _draw_symbols(np.random.default_rng(child), p0.mass, size, code.n)
     if (
         isinstance(code, CodebookCode)
         and code.packed_y is not None
@@ -692,6 +886,7 @@ def _chunk_tvs(code, p0: Pmf, target: JointPmf, size: int, child) -> np.ndarray:
         comps = np.stack([(x == a).sum(axis=1) for a in range(code.x_size)])
         nj0, nj1 = code._nj_split(target)
         return code._tv_from_c1(c1, comps, nj0[:, None], nj1[:, None])
+    x = x.astype(np.int64, copy=False)
     rows = code.decoded_rows(x)
     jc = _joint_codes(code, x, rows)
     counts = _type_counts(jc, int(np.prod(code.action_sizes)))
@@ -745,9 +940,25 @@ def expected_tv_monte_carlo(
 
 
 def _draw_symbols(rng, mass: np.ndarray, count: int, n: int) -> np.ndarray:
-    """i.i.d. symbol blocks via inverse CDF; (count, n) int64."""
+    """i.i.d. symbol blocks via inverse CDF, (count, n).
+
+    Binary alphabets come back as bool, u >= cdf[0], which is what the
+    inverse-CDF search returns there; larger ones as int64.
+    """
     cdf = np.cumsum(mass)
-    return np.searchsorted(cdf[:-1], rng.random((count, n)), side="right")
+    u = rng.random((count, n))
+    if cdf.shape[0] == 2:
+        return u >= cdf[0]
+    return np.searchsorted(cdf[:-1], u, side="right")
+
+
+def _capped_count(n: int, rate: float, table_cap: int) -> int:
+    """message_count, refused by the table_cap guard when over it; the
+    reason gives the count as a power of two, which stays short."""
+    count = message_count(n, rate)
+    if count > table_cap:
+        raise ValueError(f"message set 2^{n * rate:g} exceeds table_cap {table_cap}")
+    return count
 
 
 def build_codebook_code(
@@ -771,9 +982,7 @@ def build_codebook_code(
     cascade = joint.mass.ndim == 3
     if (rate2 is not None) != cascade:
         raise ValueError("rate2 required iff the target has two output axes")
-    m1 = message_count(n, rate1)
-    if m1 > table_cap:
-        raise ValueError(f"message set {m1} exceeds table cap {table_cap}")
+    m1 = _capped_count(n, rate1, table_cap)
     x_size = p0.alphabet_size
     y_size = joint.mass.shape[1]
     ss = np.random.SeedSequence(seed)
@@ -785,14 +994,14 @@ def build_codebook_code(
     if y_size == 2 and n <= 64 and not cascade:
         rng = np.random.default_rng(child_y)
         words = np.empty(m1, dtype=np.uint64)
-        step = 1 << 18
+        step = 1 << 15
         for lo in range(0, m1, step):
             hi = min(lo + step, m1)
-            bits = _draw_symbols(rng, y_marg, hi - lo, n).astype(np.uint8)
-            words[lo:hi] = _pack_bits(bits)
+            words[lo:hi] = _pack_bits(_draw_symbols(rng, y_marg, hi - lo, n))
         packed = words
     else:
         symbols = _draw_symbols(np.random.default_rng(child_y), y_marg, m1, n)
+        symbols = symbols.astype(np.int64, copy=False)
 
     if not cascade:
         return CodebookCode(
@@ -806,11 +1015,10 @@ def build_codebook_code(
         )
 
     z_size = joint.mass.shape[2]
-    m2 = message_count(n, rate2)
-    if m2 > table_cap:
-        raise ValueError(f"message set {m2} exceeds table cap {table_cap}")
+    m2 = _capped_count(n, rate2, table_cap)
     z_marg = joint.mass.sum(axis=(0, 1))
     symbols_z = _draw_symbols(np.random.default_rng(child_z), z_marg, m2, n)
+    symbols_z = symbols_z.astype(np.int64, copy=False)
     yz_target = joint.mass.sum(axis=0).ravel()
     recoder = np.empty(m1, dtype=np.int64)
     for i in range(m1):

@@ -203,6 +203,17 @@ class TestSimulateCommand:
         assert row["skipped"] == "1"
         assert "float range" in row["reason"]
 
+    def test_oversized_message_set_names_guard(self, tmp_path, capsys):
+        # 2^(64 * 15) messages fit a float but not the table cap; the reason
+        # gives the count as a power of two, not its 290 digits
+        spec = write_spec(tmp_path, base_spec(n_grid=[64], rates={"R1": 15.0}))
+        rc = cli.main(["simulate", "--spec", spec, "--out", str(tmp_path)])
+        assert rc == cli.EXIT_PARTIAL
+        assert "skipped" in capsys.readouterr().err
+        (row,) = read_rows(tmp_path / "simulation.csv")
+        assert row["skipped"] == "1"
+        assert row["reason"] == "message set 2^960 exceeds table_cap 67108864"
+
     def test_env_jobs_invalid(self, tmp_path, monkeypatch, capsys):
         spec = write_spec(tmp_path, base_spec())
         monkeypatch.setenv("COORDLAB_JOBS", "many")

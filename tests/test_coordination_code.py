@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,10 +205,12 @@ class TestCodebookConstruction:
         assert msgs.tolist() == [0, 0]
 
     def test_table_cap(self, uniform_binary):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"2\^60 exceeds table_cap"):
             cc.build_codebook_code(
                 uniform_binary, pc.CondPmf.identity(2), 60, 1.0, seed=0
             )
+        with pytest.raises(ValueError, match=r"2\^45 exceeds table_cap"):
+            cc.build_codebook_code(uniform_binary, CASCADE_Q, 64, 0.1, 45 / 64, seed=0)
 
     def test_packed_matches_materialized_table(self, uniform_binary):
         """The bit-packed fast path and a plain table lookup must agree
@@ -277,6 +281,216 @@ class TestCodebookConstruction:
         ys, zs = code.decoded_rows(inputs)
         ys2, zs2 = back.decoded_rows(inputs)
         assert np.array_equal(ys, ys2) and np.array_equal(zs, zs2)
+
+
+def brute_force_encode(code, x_batch):
+    """First minimum of the joint-type TV over every codeword.
+
+    Independent of the encoders' tables and searches: all codeword rows are
+    unpacked and scored one by one, with the float expression each encoder
+    promises (the c1 form for packed codes, ``_tv_rows`` for symbol rows),
+    so float-equal ties fall the same way.
+    """
+    x_batch = np.asarray(x_batch)
+    rows = code.codeword_rows(np.arange(code.m1))
+    n, sizes = code.n, code.action_sizes
+    if code.packed_y is not None:
+        t = code.target.mass
+        out = []
+        for x in x_batch:
+            acc = 0.0
+            for a in range(code.x_size):
+                on = x == a
+                c1 = (rows[:, on] == 1).sum(axis=1).astype(np.float64)
+                acc = acc + (
+                    np.abs(c1 - n * t[a, 1]) + np.abs((on.sum() - c1) - n * t[a, 0])
+                )
+            out.append(int((acc * (0.5 / n)).argmin()))
+        return np.array(out)
+    if code.is_cascade:
+        rows = rows * sizes[2] + code.symbols_z[code.recoder]
+    k = int(np.prod(sizes[1:]))
+    out = []
+    for x in x_batch:
+        counts = cc._type_counts(x[None, :] * k + rows, int(np.prod(sizes)))
+        out.append(int(cc._tv_rows(counts, n, code.target.mass.ravel()).argmin()))
+    return np.array(out)
+
+
+def source_draws(p0, n, count, seed):
+    rng = np.random.default_rng(seed)
+    return rng.choice(p0.alphabet_size, size=(count, n), p=p0.mass)
+
+
+TERNARY_P0 = pc.Pmf([0.5, 0.3, 0.2])
+TERNARY_Q = pc.CondPmf([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
+CASCADE_Q = pc.CondPmf(np.array([[[0.7, 0.1], [0.1, 0.1]], [[0.1, 0.1], [0.1, 0.7]]]))
+
+
+class TestEncoderPaths:
+    """Every encoder path against the brute-force reference."""
+
+    def test_packed_broadcast(self):
+        rng = np.random.default_rng(21)
+        p0 = pc.Pmf([0.3, 0.7])
+        code = cc.build_codebook_code(p0, pc.CondPmf(rng.dirichlet([1, 1], 2)), 10, 0.8, seed=3)
+        assert code.packed_y is not None and code.m1 <= cc._BROADCAST_WORDS
+        inputs = cc._enumerate_inputs(2, 10)
+        assert np.array_equal(code.encode(inputs), brute_force_encode(code, inputs))
+
+    @pytest.mark.parametrize("p0", [pc.Pmf([0.5, 0.5]), pc.Pmf([0.4, 0.35, 0.25])])
+    def test_candidate_walk(self, p0, monkeypatch):
+        # y = [x != 0]; one word in ~40 is a codeword, so walks pass TV
+        # levels with no codeword before they find one
+        q = pc.CondPmf([[1.0, 0.0]] + [[0.0, 1.0]] * (p0.alphabet_size - 1))
+        code = cc.build_codebook_code(p0, q, 22, 0.76, seed=4)
+        assert code.m1 > cc._BROADCAST_WORDS
+        walked, levels = [], []
+        search, lookup = cc.CodebookCode._nn_search, cc._WordIndex.first_index
+
+        def spy_search(self, x_row, comp):
+            walked.append(search(self, x_row, comp))
+            return walked[-1]
+
+        def spy_lookup(self, queries):
+            levels.append(lookup(self, queries))
+            return levels[-1]
+
+        monkeypatch.setattr(cc.CodebookCode, "_nn_search", spy_search)
+        monkeypatch.setattr(cc._WordIndex, "first_index", spy_lookup)
+        x = source_draws(p0, 22, 40, seed=5)
+        assert np.array_equal(code.encode(x), brute_force_encode(code, x))
+        assert len(walked) == 40 and None not in walked
+        assert -1 in levels
+
+    def test_block_scan_fallback(self, monkeypatch):
+        p0 = pc.Pmf([0.5, 0.5])
+        code = cc.build_codebook_code(p0, pc.CondPmf.identity(2), 18, 0.95, seed=6)
+        monkeypatch.setattr(cc, "_CANDIDATE_CAP", 0)
+        monkeypatch.setattr(cc, "_PACKED_SCAN_BLOCK", 5000)  # many blocks
+        x = source_draws(p0, 18, 30, seed=7)
+        assert np.array_equal(code.encode(x), brute_force_encode(code, x))
+
+    def test_ternary_source_binary_actions(self):
+        q = pc.CondPmf([[0.9, 0.1], [0.3, 0.7], [0.5, 0.5]])
+        code = cc.build_codebook_code(TERNARY_P0, q, 7, 0.9, seed=8)
+        assert code.packed_y is not None and code.x_size == 3
+        inputs = cc._enumerate_inputs(3, 7)
+        assert np.array_equal(code.encode(inputs), brute_force_encode(code, inputs))
+
+    def test_ternary_symbol_rows(self):
+        code = cc.build_codebook_code(TERNARY_P0, TERNARY_Q, 7, 1.0, seed=9)
+        assert code.symbols_y is not None
+        inputs = cc._enumerate_inputs(3, 7)
+        want = brute_force_encode(code, inputs)
+        assert np.array_equal(code.encode(inputs), want)
+        assert np.array_equal(code._encode_symbols_rowwise(inputs), want)
+
+    def test_cascade_symbol_rows(self):
+        p0 = pc.Pmf([0.5, 0.5])
+        code = cc.build_codebook_code(p0, CASCADE_Q, 9, 0.9, 0.6, seed=10)
+        inputs = cc._enumerate_inputs(2, 9)
+        assert np.array_equal(code.encode(inputs), brute_force_encode(code, inputs))
+
+    def test_symbol_table_cap_fallback(self, monkeypatch):
+        # (2,2,2) needs 3^6 = 729 entries, (6,0,0) needs 49: a cap between
+        # them sends some compositions through the per-codeword loop
+        monkeypatch.setattr(cc, "_SYMBOL_TABLE_CAP", 300)
+        code = cc.build_codebook_code(TERNARY_P0, TERNARY_Q, 6, 1.0, seed=11)
+        inputs = cc._enumerate_inputs(3, 6)
+        assert np.array_equal(code.encode(inputs), brute_force_encode(code, inputs))
+        assert any(t is None for t in code._tables.values())
+        assert any(t is not None for t in code._tables.values())
+
+    def test_duplicated_codewords(self, monkeypatch):
+        p0 = pc.Pmf([0.5, 0.5])
+        base = cc.build_codebook_code(p0, pc.CondPmf.identity(2), 18, 0.95, seed=12)
+        words = np.repeat(base.packed_y[: base.m1 // 4 + 1], 4)[: base.m1]
+        dup = cc.CodebookCode(
+            n=18, x_size=2, y_size=2, rate1=base.rate1, target=base.target, packed_y=words
+        )
+        x = source_draws(p0, 18, 30, seed=13)
+        assert np.array_equal(dup.encode(x), brute_force_encode(dup, x))
+        # copies of one row fall in different codeword blocks
+        monkeypatch.setattr(cc, "_SYMBOL_BLOCK", 5)
+        sym = cc.build_codebook_code(TERNARY_P0, TERNARY_Q, 5, 1.0, seed=14)
+        rows = np.tile(sym.symbols_y[:8], (4, 1))
+        dup = cc.CodebookCode(
+            n=5, x_size=3, y_size=3, rate1=sym.rate1, target=sym.target, symbols_y=rows
+        )
+        inputs = cc._enumerate_inputs(3, 5)
+        assert np.array_equal(dup.encode(inputs), brute_force_encode(dup, inputs))
+
+    @pytest.mark.parametrize("n, rate", [(9, 0.9), (18, 0.95)])
+    def test_symmetric_target_float_equal_ties(self, n, rate):
+        # every composition of the flat target meets many count vectors at
+        # float-equal TV, so only the lowest-index rule picks the message
+        p0 = pc.Pmf([0.5, 0.5])
+        flat = pc.CondPmf([[0.5, 0.5], [0.5, 0.5]])
+        code = cc.build_codebook_code(p0, flat, n, rate, seed=15)
+        x = source_draws(p0, n, 40, seed=16)
+        assert np.array_equal(code.encode(x), brute_force_encode(code, x))
+
+    def test_packed_words_above_n_rejected(self):
+        p0 = pc.Pmf([0.5, 0.5])
+        base = cc.build_codebook_code(p0, pc.CondPmf.identity(2), 4, 0.5, seed=0)
+        with pytest.raises(ValueError, match="bit at or above"):
+            cc.CodebookCode(
+                n=4, x_size=2, y_size=2, rate1=0.5, target=base.target,
+                packed_y=base.packed_y | np.uint64(1 << 4),
+            )
+
+
+class TestWordIndex:
+    # keyed sort; keys using all 64 bits; n + 18 > 64, so argsort
+    @pytest.mark.parametrize("n", [20, 46, 48])
+    def test_first_index_matches_scan(self, n):
+        rng = np.random.default_rng(n)
+        m = (1 << 17) + 5
+        words = rng.integers(0, 1 << n, size=m, dtype=np.uint64)
+        words[rng.integers(0, m, 4000)] = words[rng.integers(0, m, 4000)]
+        words[:3] = [0, 1, 1]
+        index = cc._WordIndex(words, n)
+        assert (index.order is None) == (n < 48)
+        for trial in range(60):
+            present = words[rng.integers(0, m, trial % 4)]
+            absent = rng.integers(0, 1 << n, size=5, dtype=np.uint64)
+            absent[0] = (1 << n) - 1
+            queries = np.sort(np.concatenate([present, absent, words[:trial % 2]]))
+            hits = np.flatnonzero(np.isin(words, queries))
+            want = int(hits[0]) if hits.size else -1
+            assert index.first_index(queries) == want
+
+
+class TestParallelCaches:
+    """Worker threads fill the per-composition caches; reports must not
+    depend on the worker count. Each run gets a fresh code, so the caches
+    start empty under every worker count. Four workers, more than the
+    cores, switch threads every 10 us to make races on the caches likely."""
+
+    @pytest.mark.parametrize(
+        "p0, q, n, rate",
+        [
+            (pc.Pmf([0.5, 0.5]), pc.CondPmf.identity(2), 18, 0.95),
+            (TERNARY_P0, TERNARY_Q, 8, 1.0),
+        ],
+    )
+    def test_jobs_do_not_change_report(self, p0, q, n, rate, monkeypatch):
+        monkeypatch.setattr(cc, "MC_CHUNK", 256)  # 1100 samples, 5 chunks
+        target = pc.compose(p0, q)
+        reports = []
+        interval = sys.getswitchinterval()
+        try:
+            for jobs in (1, 2, 4):
+                sys.setswitchinterval(1e-5 if jobs == 4 else interval)
+                code = cc.build_codebook_code(p0, q, n, rate, seed=17)
+                reports.append(
+                    cc.expected_tv_monte_carlo(code, p0, target, 1100, 18, jobs=jobs)
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert code.m1 > cc._BROADCAST_WORDS or code.symbols_y is not None
+        assert reports[0] == reports[1] == reports[2]
 
 
 class TestBlockRepeat:
