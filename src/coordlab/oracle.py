@@ -9,6 +9,21 @@ Everything here is deterministic given its inputs, and deliberately
 independent of the solver's machinery: the grid oracle never calls the
 projected-gradient path and the code search never calls the codebook
 constructor.
+
+Both searches are exact, and their outputs do not depend on how the work
+is batched:
+
+- The code search scores codeword sets in blocks of
+  ``itertools.combinations`` rows (lexicographic order). Each set's value
+  is the same float expression, the 1-D dot of the source-block
+  probabilities with the columnwise minimum (``np.vecdot`` over
+  C-contiguous rows runs the loop ``probs @ v`` does), and the reported
+  set is the lexicographically first minimiser.
+- The grid drops, row by row, every candidate whose own TV cost already
+  exceeds ``delta + TV_SLACK``. A float sum of nonnegative terms is at
+  least each term, so no pruned cell could pass the feasibility test. The
+  surviving cells keep their row-major order and their per-cell float
+  expressions, so the optimum and the first optimizer are unchanged.
 """
 
 from __future__ import annotations
@@ -34,7 +49,8 @@ from coordlab.region_solver import SolverConfig, solve_two_node
 LN2 = math.log(2.0)
 _FREE_PARAM_GUARD = 3
 _GRID_CELL_CAP = 20_000_000   # combos or candidate rows beyond this refuse to run
-_CHUNK = 1 << 20
+_CHUNK = 1 << 14          # grid cells per batch, cache-sized temporaries
+_COMBO_BLOCK = 1 << 12    # codeword sets scored per batch
 DEFAULT_CODE_GUARD = 10_000_000
 
 
@@ -72,10 +88,18 @@ def _binary_candidates(p_first: float, step: float) -> np.ndarray:
     return np.clip(vals, 0.0, 1.0)
 
 
+def _grid_cap_message(count: int) -> str:
+    return (
+        f"grid of {count} cells exceeds _GRID_CELL_CAP {_GRID_CELL_CAP}; "
+        "coarsen grid_step"
+    )
+
+
 def _composition_rows(m: int, step: float, target_row: np.ndarray) -> np.ndarray:
     total = int(round(1.0 / step))
-    if math.comb(total + m - 1, m - 1) > _GRID_CELL_CAP:
-        raise ValueError("grid too large; coarsen grid_step")
+    count = math.comb(total + m - 1, m - 1)
+    if count > _GRID_CELL_CAP:
+        raise ValueError(_grid_cap_message(count))
     combos = []
     for c in itertools.combinations(range(total + m - 1), m - 1):
         prev = -1
@@ -110,7 +134,8 @@ def grid_min_mi(
     support = np.nonzero(p0.mass > 0.0)[0]
     if support.shape[0] * (m - 1) > _FREE_PARAM_GUARD:
         raise ValueError(
-            f"{support.shape[0]}x({m}-1) free parameters exceed the grid guard"
+            f"{support.shape[0]}x({m}-1) free parameters exceed "
+            f"_FREE_PARAM_GUARD {_FREE_PARAM_GUARD}"
         )
     start = time.perf_counter()
     w = p0.mass[support]
@@ -125,19 +150,25 @@ def grid_min_mi(
     sizes = [c.shape[0] for c in cand]
     total = int(np.prod(sizes))
     if total > _GRID_CELL_CAP:
-        raise ValueError("grid too large; coarsen grid_step")
+        raise ValueError(_grid_cap_message(total))
 
     tv_cost = [
         0.5 * w[x] * np.abs(cand[x] - rows[support[x]][None, :]).sum(axis=1)
         for x in range(len(cand))
     ]
+    # a candidate whose own TV cost is over the radius fails in every cell
+    keep = [np.flatnonzero(c <= delta + TV_SLACK) for c in tv_cost]
+    cand = [c[kept] for c, kept in zip(cand, keep)]
+    tv_cost = [c[kept] for c, kept in zip(tv_cost, keep)]
     plogp = [
         w[x] * (xlogy(cand[x], cand[x]).sum(axis=1) / LN2) for x in range(len(cand))
     ]
+    sizes = [c.shape[0] for c in cand]
+    visited = math.prod(sizes)
     best_val = np.inf
     best_lin = -1
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
+    for lo in range(0, visited, _CHUNK):
+        hi = min(lo + _CHUNK, visited)
         lin = np.arange(lo, hi)
         idx = np.unravel_index(lin, sizes)
         tv = tv_cost[0][idx[0]].copy()
@@ -179,24 +210,57 @@ def grid_min_mi(
     )
 
 
-def _pair_tv_matrix(
-    x_blocks: np.ndarray, y_blocks: np.ndarray, sizes: tuple, target: JointPmf
-) -> np.ndarray:
-    """TV of the joint type of every (source block, action block) pair."""
-    nx, n = x_blocks.shape
-    u = y_blocks.shape[0]
-    cells = int(np.prod(sizes))
-    jc = (x_blocks[:, None, :] * sizes[1] + y_blocks[None, :, :]).reshape(-1, n)
-    offs = (np.arange(jc.shape[0], dtype=np.int64) * cells)[:, None]
-    counts = np.bincount((jc + offs).ravel(), minlength=jc.shape[0] * cells).reshape(
+def _type_tv(jc: np.ndarray, target: JointPmf) -> np.ndarray:
+    """TV to the target of the joint type of each row of joint-symbol codes."""
+    rows, n = jc.shape
+    cells = target.mass.size
+    offs = (np.arange(rows, dtype=np.int64) * cells)[:, None]
+    counts = np.bincount((jc + offs).ravel(), minlength=rows * cells).reshape(
         -1, cells
     )
-    tv = 0.5 * np.abs(counts / n - target.mass.ravel()[None, :]).sum(axis=1)
-    return tv.reshape(nx, u)
+    return 0.5 * np.abs(counts / n - target.mass.ravel()[None, :]).sum(axis=1)
 
 
 def _all_blocks(size: int, n: int) -> np.ndarray:
     return np.indices((size,) * n).reshape(n, size**n).T.copy()
+
+
+def _guard_message(space: int, guard: int) -> str:
+    return (
+        f"search space {space} exceeds guard {guard} (the guard argument, "
+        f"default DEFAULT_CODE_GUARD {DEFAULT_CODE_GUARD})"
+    )
+
+
+def _best_codeword_set(
+    d: np.ndarray, probs: np.ndarray, k: int
+) -> tuple[float, Optional[tuple]]:
+    """Lexicographically first k-column set minimizing probs @ min(d[:, set]).
+
+    Sets come from ``itertools.combinations`` in blocks of ``_COMBO_BLOCK``
+    rows. A block gathers rows of the C-contiguous ``d.T``, reduces them
+    with ``np.minimum`` and scores every row with ``np.vecdot``, the same
+    1-D dot loop as ``probs @ v``, so each value has the bits of the
+    per-set expression. The first minimum inside a block and a strict
+    ``<`` across blocks keep the lexicographically first minimiser.
+    """
+    cols = np.ascontiguousarray(d.T)
+    combos = itertools.combinations(range(cols.shape[0]), k)
+    best_val, best_set = np.inf, None
+    while True:
+        block = np.fromiter(
+            itertools.islice(combos, _COMBO_BLOCK), dtype=(np.intp, k)
+        )
+        if block.shape[0] == 0:
+            return best_val, best_set
+        low = cols[block[:, 0]]
+        for j in range(1, k):
+            np.minimum(low, cols[block[:, j]], out=low)
+        vals = np.vecdot(low, probs)
+        i = int(vals.argmin())
+        if vals[i] < best_val:
+            best_val = float(vals[i])
+            best_set = tuple(block[i].tolist())
 
 
 def exhaustive_best_code(
@@ -232,16 +296,12 @@ def exhaustive_best_code(
     eff = min(m1, u)
     space = math.comb(u, eff)
     if space > guard:
-        raise ValueError(f"search space {space} exceeds guard {guard}")
+        raise ValueError(_guard_message(space, guard))
     y_blocks = _all_blocks(sizes[1], n)
-    d = _pair_tv_matrix(x_blocks, y_blocks, sizes, target)
-    best_val = np.inf
-    best_set = None
-    for combo in itertools.combinations(range(u), eff):
-        val = float(probs @ d[:, combo].min(axis=1))
-        if val < best_val:
-            best_val = val
-            best_set = combo
+    # d[i, y]: TV of the pair type to the target
+    jc = x_blocks[:, None, :] * sizes[1] + y_blocks[None, :, :]
+    d = _type_tv(jc.reshape(-1, n), target).reshape(x_blocks.shape[0], u)
+    best_val, best_set = _best_codeword_set(d, probs, eff)
     enc = np.argmin(d[:, best_set], axis=1)
     dec = y_blocks[list(best_set)]
     if m1 > eff:  # pad unused messages so the table honors the nominal rate
@@ -274,40 +334,25 @@ def _exhaustive_cascade(p0, target, n, rate1, rate2, guard, x_blocks, probs, sta
     uy, uz = sizes[1] ** n, sizes[2] ** n
     m1, m2 = message_count(n, rate1), message_count(n, rate2)
     e2 = min(m2, uz)
-    space = 0
-    for z_combo in itertools.combinations(range(uz), e2):
-        e1 = min(m1, uy * e2)
-        space += math.comb(uy * e2, e1)
-        if space > guard:
-            raise ValueError(f"search space exceeds guard {guard}")
+    e1 = min(m1, uy * e2)
+    space = math.comb(uz, e2) * math.comb(uy * e2, e1)
+    if space > guard:
+        raise ValueError(_guard_message(space, guard))
     y_blocks = _all_blocks(sizes[1], n)
     z_blocks = _all_blocks(sizes[2], n)
     # d3[i, y, z]: TV of the triple type to the target
     nx = x_blocks.shape[0]
-    cells = int(np.prod(sizes))
     jc = (
         (x_blocks[:, None, None, :] * sizes[1] + y_blocks[None, :, None, :]) * sizes[2]
         + z_blocks[None, None, :, :]
-    ).reshape(-1, n)
-    offs = (np.arange(jc.shape[0], dtype=np.int64) * cells)[:, None]
-    counts = np.bincount((jc + offs).ravel(), minlength=jc.shape[0] * cells).reshape(
-        -1, cells
     )
-    d3 = (
-        0.5
-        * np.abs(counts / n - target.mass.ravel()[None, :]).sum(axis=1).reshape(
-            nx, uy, uz
-        )
-    )
+    d3 = _type_tv(jc.reshape(-1, n), target).reshape(nx, uy, uz)
     best = (np.inf, None, None)
     for z_combo in itertools.combinations(range(uz), e2):
-        pairs = [(y, zi) for y in range(uy) for zi in range(e2)]
         dp = d3[:, :, list(z_combo)].reshape(nx, -1)
-        e1 = min(m1, len(pairs))
-        for p_combo in itertools.combinations(range(len(pairs)), e1):
-            val = float(probs @ dp[:, p_combo].min(axis=1))
-            if val < best[0]:
-                best = (val, z_combo, p_combo)
+        val, p_combo = _best_codeword_set(dp, probs, e1)
+        if val < best[0]:
+            best = (val, z_combo, p_combo)
     val, z_combo, p_combo = best
     pairs = [(y, zi) for y in range(uy) for zi in range(e2)]
     chosen = [pairs[i] for i in p_combo]

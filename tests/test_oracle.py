@@ -1,8 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
+from coordlab import instances as ins
 from coordlab import oracle as orc
 from coordlab import prob_core as pc
 from coordlab import region_solver as rs
@@ -10,6 +13,7 @@ from coordlab.coordination_code import (
     block_repeat,
     expected_tv_exact,
     expected_tv_monte_carlo,
+    message_count,
 )
 
 
@@ -42,8 +46,27 @@ class TestGridMinMi:
     def test_rejects_wide_instances(self):
         p0 = pc.Pmf(np.full(3, 1 / 3))
         tgt = pc.CondPmf(np.full((3, 3), 1 / 3))
-        with pytest.raises(ValueError, match="free parameters"):
+        with pytest.raises(
+            ValueError, match=r"3x\(3-1\) free parameters exceed _FREE_PARAM_GUARD 3$"
+        ):
             orc.grid_min_mi(p0, tgt, 0.1, 1e-2)
+        # one composition lattice over the cap (1e4 steps, three outputs)
+        ternary = pc.CondPmf(np.full((2, 3), 1 / 3))
+        with pytest.raises(
+            ValueError,
+            match=r"^grid of 50015001 cells exceeds _GRID_CELL_CAP 20000000; "
+            "coarsen grid_step$",
+        ):
+            orc.grid_min_mi(pc.Pmf([1.0, 0.0]), ternary, 0.1, 1e-4)
+        # two binary rows whose product lattice is over the cap
+        with pytest.raises(
+            ValueError,
+            match=r"^grid of \d+ cells exceeds _GRID_CELL_CAP 20000000; "
+            "coarsen grid_step$",
+        ):
+            orc.grid_min_mi(
+                pc.Pmf([0.5, 0.5]), pc.CondPmf([[0.3, 0.7], [0.6, 0.4]]), 0.1, 1e-4
+            )
 
     def test_reports_positive_bound(self, uniform_binary, identity_channel):
         rep = orc.grid_min_mi(uniform_binary, identity_channel, 0.1, 1e-2)
@@ -77,8 +100,23 @@ class TestExhaustiveBestCode:
         ) == pytest.approx(rep.optimum, abs=1e-12)
 
     def test_guard_refuses_large_space(self, uniform_binary, identity_joint):
-        with pytest.raises(ValueError, match="guard"):
+        message = (
+            r"^search space {} exceeds guard 10 \(the guard argument, "
+            r"default DEFAULT_CODE_GUARD 10000000\)$"
+        )
+        with pytest.raises(ValueError, match=message.format(math.comb(64, 8))):
             orc.exhaustive_best_code(uniform_binary, identity_joint, 6, 0.5, guard=10)
+        mass = np.zeros((2, 2, 2))
+        mass[0, 0, 0] = mass[1, 1, 1] = 0.5
+        # C(4, 2) z-codeword sets, each with C(4 * 2, 4) (y, z) pair sets
+        with pytest.raises(ValueError, match=message.format(6 * 70)):
+            orc.exhaustive_best_code(
+                uniform_binary, pc.JointPmf(mass), 2, 1.0, rate2=0.5, guard=10
+            )
+        rep = orc.exhaustive_best_code(
+            uniform_binary, pc.JointPmf(mass), 2, 1.0, rate2=0.5, guard=420
+        )
+        assert rep.search_space_size == 420
 
     def test_rate2_only_for_cascade(self, uniform_binary, identity_joint):
         with pytest.raises(ValueError, match="rate2"):
@@ -160,3 +198,215 @@ class TestConsistencyScan:
         a = orc.theorem_consistency_scan(uniform_binary, identity_channel, **kw)
         b = orc.theorem_consistency_scan(uniform_binary, identity_channel, **kw)
         assert a == b
+
+
+# -- batched searches against the per-combination and unpruned loops ------
+
+
+def loop_best_set(d, probs, k):
+    """Reference: score every k-column set one at a time, lexicographically."""
+    best_val, best_set = np.inf, None
+    for combo in itertools.combinations(range(d.shape[1]), k):
+        val = float(probs @ d[:, combo].min(axis=1))
+        if val < best_val:
+            best_val, best_set = val, combo
+    return best_val, best_set
+
+
+def battery_pair():
+    joint = ins.battery_targets()[1]
+    return pc.marginal_pmf(joint, 0), joint
+
+
+def ternary_action_pair():
+    rng = np.random.default_rng(31)
+    p0 = pc.Pmf(rng.dirichlet(np.ones(2)))
+    return p0, pc.compose(p0, pc.CondPmf(rng.dirichlet(np.ones(3), size=2)))
+
+
+def symmetric_cascade():
+    mass = np.zeros((2, 2, 2))
+    mass[0, 0, 0] = mass[1, 1, 1] = 0.5
+    return pc.Pmf([0.5, 0.5]), pc.JointPmf(mass)
+
+
+def uniform_cascade():
+    # every z-codeword set ties with its mirror image
+    return pc.Pmf([0.5, 0.5]), pc.JointPmf(np.full((2, 2, 2), 1 / 8))
+
+
+def random_cascade():
+    joint = pc.JointPmf(np.random.default_rng(8).dirichlet(np.ones(8)).reshape(2, 2, 2))
+    return pc.marginal_pmf(joint, 0), joint
+
+
+def loop_cascade(p0, target, n, rate1, rate2):
+    """Reference: nested loops over z-codeword sets, then (y, z) pair sets."""
+    sizes = target.mass.shape
+    x_blocks, y_blocks, z_blocks = (orc._all_blocks(size, n) for size in sizes)
+    probs = p0.mass[x_blocks].prod(axis=1)
+    nx, uy, uz = len(x_blocks), len(y_blocks), len(z_blocks)
+    jc = (
+        x_blocks[:, None, None, :] * sizes[1] + y_blocks[None, :, None, :]
+    ) * sizes[2] + z_blocks[None, None, :, :]
+    d3 = orc._type_tv(jc.reshape(-1, n), target).reshape(nx, uy, uz)
+    e2 = min(message_count(n, rate2), uz)
+    pairs = [(y, zi) for y in range(uy) for zi in range(e2)]
+    e1 = min(message_count(n, rate1), len(pairs))
+    best = (np.inf, None, None)
+    for z_combo in itertools.combinations(range(uz), e2):
+        dp = d3[:, :, list(z_combo)].reshape(nx, -1)
+        for p_combo in itertools.combinations(range(len(pairs)), e1):
+            val = float(probs @ dp[:, p_combo].min(axis=1))
+            if val < best[0]:
+                best = (val, z_combo, p_combo)
+    val, z_combo, p_combo = best
+    chosen = [pairs[i] for i in p_combo]
+    dp = d3[:, :, list(z_combo)].reshape(nx, -1)
+    return val, (
+        np.argmin(dp[:, p_combo], axis=1),
+        y_blocks[[y for y, _ in chosen]],
+        [zi for _, zi in chosen],
+        z_blocks[list(z_combo)],
+    )
+
+
+class TestBatchedSearchMatchesLoop:
+    """Same optimum bits and the same lexicographically first code."""
+
+    @staticmethod
+    def search(monkeypatch, args, reference=False, block=None):
+        with monkeypatch.context() as mp:
+            if reference:
+                mp.setattr(orc, "_best_codeword_set", loop_best_set)
+            if block is not None:
+                mp.setattr(orc, "_COMBO_BLOCK", block)
+            return orc.exhaustive_best_code(*args)
+
+    def check(self, monkeypatch, *args):
+        ref = self.search(monkeypatch, args, reference=True)
+        # 7-row blocks put ties and the minimiser across many block edges
+        for block in (7, None):
+            rep = self.search(monkeypatch, args, block=block)
+            assert rep.optimum.hex() == ref.optimum.hex()
+            assert rep.optimizer.encoder.tolist() == ref.optimizer.encoder.tolist()
+            assert (
+                rep.optimizer.decoder_mid.tolist() == ref.optimizer.decoder_mid.tolist()
+            )
+
+    @pytest.mark.parametrize(
+        "pair, n, m1_max",
+        [
+            ("identity", 4, 16),   # uniform identity: heavy exact ties
+            ("identity", 5, 4),
+            ("battery", 4, 16),    # a criterion-10 scan pair
+            ("ternary", 2, 9),     # ternary actions
+            ("ternary", 3, 3),
+        ],
+    )
+    def test_two_node(self, monkeypatch, pair, n, m1_max):
+        p0, joint = {
+            "identity": lambda: (pc.Pmf([0.5, 0.5]), pc.JointPmf(np.eye(2) / 2)),
+            "battery": battery_pair,
+            "ternary": ternary_action_pair,
+        }[pair]()
+        for m1 in range(1, m1_max + 1):
+            self.check(monkeypatch, p0, joint, n, math.log2(m1) / n)
+
+    @pytest.mark.parametrize("make", [symmetric_cascade, uniform_cascade, random_cascade])
+    @pytest.mark.parametrize(
+        "n, r1, r2", [(1, 1.0, 1.0), (1, 1.0, 0.0), (2, 1.0, 0.5), (2, 0.5, 0.5)]
+    )
+    def test_cascade(self, make, n, r1, r2):
+        p0, joint = make()
+        rep = orc.exhaustive_best_code(p0, joint, n, r1, rate2=r2)
+        val, (enc, dec_y, rec, dec_z) = loop_cascade(p0, joint, n, r1, r2)
+        code = rep.optimizer
+        assert rep.optimum.hex() == val.hex()
+        assert code.encoder.tolist() == enc.tolist()
+        assert code.decoder_mid[: len(dec_y)].tolist() == dec_y.tolist()
+        assert code.recoder[: len(rec)].tolist() == rec
+        assert code.decoder_end[: len(dec_z)].tolist() == dec_z.tolist()
+
+    def test_helper_on_random_ties(self):
+        # values on a coarse lattice, so many sets tie exactly
+        rng = np.random.default_rng(4)
+        d = rng.integers(0, 4, size=(16, 12)) / 8.0
+        probs = np.full(16, 1 / 16)
+        for k in range(1, 13):
+            val, best = orc._best_codeword_set(d, probs, k)
+            ref_val, ref_set = loop_best_set(d, probs, k)
+            assert val.hex() == ref_val.hex()
+            assert best == ref_set
+
+
+def loop_grid_min_mi(p0, target, delta, grid_step):
+    """Reference: every lattice cell in row-major order, without pruning."""
+    rows = target.rows
+    m = rows.shape[1]
+    support = np.nonzero(p0.mass > 0.0)[0]
+    w = p0.mass[support]
+    cand = []
+    for x in support:
+        if m == 2:
+            vals = orc._binary_candidates(float(rows[x][0]), grid_step)
+            cand.append(np.stack([vals, 1.0 - vals], axis=1))
+        else:
+            cand.append(orc._composition_rows(m, grid_step, rows[x]))
+    sizes = [c.shape[0] for c in cand]
+    total = int(np.prod(sizes))
+    tv_cost = [
+        0.5 * w[x] * np.abs(cand[x] - rows[support[x]][None, :]).sum(axis=1)
+        for x in range(len(cand))
+    ]
+    plogp = [
+        w[x] * (xlogy(cand[x], cand[x]).sum(axis=1) / orc.LN2)
+        for x in range(len(cand))
+    ]
+    best_val, best_lin = np.inf, -1
+    for lo in range(0, total, 1 << 20):
+        lin = np.arange(lo, min(lo + (1 << 20), total))
+        idx = np.unravel_index(lin, sizes)
+        tv = tv_cost[0][idx[0]].copy()
+        for x in range(1, len(cand)):
+            tv += tv_cost[x][idx[x]]
+        feas = tv <= delta + pc.TV_SLACK
+        if not feas.any():
+            continue
+        mix = w[0] * cand[0][idx[0][feas]]
+        ent_in = plogp[0][idx[0][feas]].copy()
+        for x in range(1, len(cand)):
+            mix += w[x] * cand[x][idx[x][feas]]
+            ent_in += plogp[x][idx[x][feas]]
+        vals = ent_in - xlogy(mix, mix).sum(axis=1) / orc.LN2
+        j = int(vals.argmin())
+        if vals[j] < best_val:
+            best_val, best_lin = float(vals[j]), int(lin[feas][j])
+    full = rows.copy()
+    pick = np.unravel_index(best_lin, sizes)
+    for x in range(len(cand)):
+        full[support[x]] = cand[x][pick[x]]
+    return max(best_val, 0.0), full, total
+
+
+class TestPrunedGridMatchesLoop:
+    """Same optimum bits and the same optimizer rows as the full lattice."""
+
+    def check(self, p0, target, delta, step):
+        rep = orc.grid_min_mi(p0, target, delta, step)
+        ref_val, ref_rows, total = loop_grid_min_mi(p0, target, delta, step)
+        assert rep.optimum.hex() == ref_val.hex()
+        assert np.array_equal(rep.optimizer.rows, ref_rows)
+        assert rep.search_space_size == total
+
+    def test_criterion_04_instances(self):
+        for p0, tgt in ins.random_binary_instances(10, seed=77):
+            for d in (0.05, 0.1, 0.2):
+                self.check(p0, tgt, d, 1e-3)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.3])
+    def test_composition_rows(self, delta):
+        # one support row over four outputs: the C(43, 3)-row composition lattice
+        rng = np.random.default_rng(12)
+        tgt = pc.CondPmf(rng.dirichlet(np.ones(4), size=2))
+        self.check(pc.Pmf([1.0, 0.0]), tgt, delta, 1 / 40)
