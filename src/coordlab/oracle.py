@@ -100,17 +100,17 @@ def _composition_rows(m: int, step: float, target_row: np.ndarray) -> np.ndarray
     count = math.comb(total + m - 1, m - 1)
     if count > _GRID_CELL_CAP:
         raise ValueError(_grid_cap_message(count))
-    combos = []
-    for c in itertools.combinations(range(total + m - 1), m - 1):
-        prev = -1
-        counts = []
-        for b in c:
-            counts.append(b - prev - 1)
-            prev = b
-        counts.append(total + m - 2 - prev)
-        combos.append(counts)
-    rows = np.asarray(combos, dtype=float) / total
-    return np.vstack([rows, target_row[None, :]])
+    # stars and bars: m - 1 bars among total + m - 1 slots, in
+    # lexicographic order; the gaps between bars are the counts
+    edges = np.empty((count, m + 1), dtype=np.intp)
+    edges[:, 0], edges[:, -1] = -1, total + m - 1
+    edges[:, 1:-1] = np.fromiter(
+        itertools.combinations(range(total + m - 1), m - 1),
+        dtype=(np.intp, m - 1),
+        count=count,
+    )
+    counts = np.diff(edges, axis=1) - 1
+    return np.vstack([counts / total, target_row[None, :]])
 
 
 def grid_min_mi(

@@ -9,9 +9,12 @@ per-row soft-threshold whose simplex and ball multipliers are found
 between breakpoints of piecewise-linear functions (Condat 2016, "Fast
 projection onto the simplex and the l1 ball"), and the linear
 minimization behind the Frank-Wolfe duality gap is a fractional knapsack
-solved greedily. The gap certifies every returned point. Endpoints
-(delta = 0 and delta past the zero-rate threshold) are returned from
-closed forms with zero gap.
+solved greedily. The gap is checked after every iteration and the
+first iterate it certifies is returned. Endpoints (delta = 0 and delta
+past the zero-rate threshold delta*) are returned from closed forms with
+zero gap; delta* itself is a separable piecewise-linear minimization
+solved by a greedy fill. The cascade sweep solves its weights from last
+to first, each one warm-started from the previous weight's argmin.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.special import rel_entr
 
 from coordlab.prob_core import CondPmf, Pmf, compose, in_delta_neighborhood
@@ -30,7 +32,7 @@ from coordlab.prob_core import CondPmf, Pmf, compose, in_delta_neighborhood
 LN2 = math.log(2.0)
 _TINY = 1e-30          # gradient floor; keeps log ratios finite at the boundary
 _ROOT_STEPS = 100      # bracket steps of the ball-multiplier search
-_GAP_CHECK_EVERY = 25
+_STALL_WINDOW = 25     # iterations between samples of the plateau test
 
 
 @dataclass(frozen=True)
@@ -235,10 +237,12 @@ class _NeighborhoodProgram:
 
 
 def _fista(prog, value, gradient, q0: np.ndarray, config: SolverConfig):
-    """Accelerated projected gradient with restart and periodic gap checks.
+    """Accelerated projected gradient with restart and a gap check after
+    every iteration.
 
     ``value``/``gradient`` act on support-restricted row matrices; returns
-    (feasible iterate, value, certified gap).
+    (feasible iterate, value, certified gap): the first iterate certified
+    at the tolerance, or else the best certificate seen.
     """
     tol = config.duality_gap_tol
     iterations = config.max_iterations
@@ -247,7 +251,8 @@ def _fista(prog, value, gradient, q0: np.ndarray, config: SolverConfig):
     t = 1.0
     lip = 1.0
     f_q = value(q)
-    best = (f_q + np.inf, None, np.inf)
+    best = (np.inf, None, np.inf)
+    sampled = np.inf
 
     it = 0
     stalled = 0
@@ -271,24 +276,25 @@ def _fista(prog, value, gradient, q0: np.ndarray, config: SolverConfig):
             v = cand.copy()
             t_next = 1.0
         q, f_q, t = cand, f_cand, t_next
-        if it % _GAP_CHECK_EVERY == 0 or it == iterations:
-            gap = prog.gap_at(q, gradient(q))
-            if f_q + gap < best[0] + best[2]:
-                best = (f_q, q, gap)
-            if gap <= tol:
-                return q, f_q, gap
-            # When the certified value-plus-gap stops improving the iterate
-            # has plateaued short of the tolerance; report the best
-            # certificate instead of spinning here.
-            metric = best[0] + best[2]
+        gap = prog.gap_at(q, gradient(q))
+        if f_q + gap < best[0] + best[2]:
+            best = (f_q, q, gap)
+        if gap <= tol:
+            return q, f_q, gap
+        # When the certified value-plus-gap of the iterates sampled every
+        # _STALL_WINDOW iterations stops improving, the iterate has
+        # plateaued short of the tolerance; report the best certificate
+        # instead of spinning here. Sampling over a window, not testing
+        # every iterate, keeps slow but steady progress from reading as
+        # a plateau.
+        if it % _STALL_WINDOW == 0 or it == iterations:
+            sampled = min(sampled, f_q + gap)
             stalled = stalled + 1 if (
-                last_metric is not None and last_metric - metric <= 0.5 * tol
+                last_metric is not None and last_metric - sampled <= 0.5 * tol
             ) else 0
-            last_metric = metric
+            last_metric = sampled
             if stalled >= 6:
                 break
-    if best[1] is None:
-        best = (f_q, q, prog.gap_at(q, gradient(q)))
     return best[1], best[0], best[2]
 
 
@@ -298,41 +304,30 @@ def delta_star(p0: Pmf, target: CondPmf) -> float:
 
 
 def _delta_star_full(p0: Pmf, target: CondPmf):
-    """(threshold, optimal output pmf r) via an exact linear program:
-    minimize TV(compose(p0, target), p0 x r) over output pmfs r."""
-    rows = _flat_rows(target)
+    """(threshold, optimal output pmf r): the minimum over output pmfs r of
+    TV(compose(p0, target), p0 x r) = sum_y 1/2 sum_x w_x |p_xy - r_y|.
+
+    Each column's term is convex and piecewise linear in r_y, with kinks
+    at the sorted p_xy; past the j-th kink its slope is the weight of the
+    first j rows minus 1/2. The terms are separable, so filling segments
+    in increasing slope until r holds unit mass is exact.
+    """
     support = np.nonzero(p0.mass > 0.0)[0]
     w = p0.mass[support]
-    joint = w[:, None] * rows[support]
-    k, m = joint.shape
-    km = k * m
-    # variables: r (m), u (km); minimize 0.5 sum u
-    # u_xy >= |joint_xy - w_x r_y|
-    wcol = np.repeat(w, m)
-    pick = np.tile(np.eye(m), (k, 1))
-    a_ub = np.vstack(
-        [
-            np.hstack([-wcol[:, None] * pick, -np.eye(km)]),
-            np.hstack([wcol[:, None] * pick, -np.eye(km)]),
-        ]
-    )
-    b_ub = np.concatenate([-joint.ravel(), joint.ravel()])
-    a_eq = np.hstack([np.ones((1, m)), np.zeros((1, km))])
-    c = np.concatenate([np.zeros(m), 0.5 * np.ones(km)])
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=[1.0],
-        bounds=[(0, None)] * (m + km),
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"zero-rate threshold LP failed: {res.message}")
-    r = np.maximum(res.x[:m], 0.0)
+    p = _flat_rows(target)[support]
+    m = p.shape[1]
+    order = np.argsort(p, axis=0, kind="stable")
+    kinks = np.take_along_axis(p, order, axis=0)
+    length = np.diff(kinks, axis=0, prepend=0.0).ravel()
+    below = np.cumsum(np.vstack([np.zeros(m), w[order[:-1]]]), axis=0)
+    # Within a column slopes rise with j, and a stable sort keeps tied
+    # segments of a column in j order, so every column fills from 0 up.
+    fill_order = np.argsort(below.ravel(), kind="stable")
+    seg = length[fill_order]
+    fill = np.clip(1.0 - (np.cumsum(seg) - seg), 0.0, seg)
+    r = np.bincount(fill_order % m, weights=fill, minlength=m)
     r = r / r.sum()
-    return min(max(float(res.fun), 0.0), 1.0), r
+    return 0.5 * float((w[:, None] * np.abs(p - r)).sum()), r
 
 
 def _restore_rows(prog, q: np.ndarray, target: CondPmf) -> CondPmf:
@@ -359,20 +354,8 @@ def solve_two_node(
             q = np.tile(r_star, (prog.k, 1))
             point_value, gap = prog.mi(q), 0.0
         else:
-            blend = min(1.0, delta / ds) if ds > 0 else 1.0
-            starts = [
-                prog.p + blend * (np.tile(r_star, (prog.k, 1)) - prog.p),
-                prog.p.copy(),
-            ]
-            q, point_value, gap = None, np.inf, np.inf
-            for q0 in starts:
-                qs, fs, gs = _fista(prog, prog.mi, prog.mi_grad, q0, config)
-                if fs + gs < point_value + gap or q is None:
-                    q, point_value, gap = qs, fs, gs
-                # The second start is a safety net against a badly stuck
-                # first solve, not a tie-breaker for near-certified ones.
-                if gap <= 50.0 * config.duality_gap_tol:
-                    break
+            q0 = prog.p + (delta / ds) * (r_star - prog.p)
+            q, point_value, gap = _fista(prog, prog.mi, prog.mi_grad, q0, config)
     cond = _restore_rows(prog, q, target)
     if not in_delta_neighborhood(compose(p0, cond), compose(p0, target), delta):
         raise RuntimeError("solver returned an infeasible conditional")
@@ -439,10 +422,12 @@ def solve_cascade(
     if delta >= ds - 1e-12:
         return [point_for(np.tile(r_star, (prog.k, 1)), 0.0, None)]
 
-    blend = min(1.0, delta / ds) if ds > 0 else 1.0
-    start_a = prog.p + blend * (np.tile(r_star, (prog.k, 1)) - prog.p)
+    q = prog.p + (delta / ds) * (r_star - prog.p)
     points = []
-    for lam in config.scalarization_weights:
+    # Each weight starts from the previous weight's argmin. Sweeping from
+    # lam = 1 down puts the degenerate lam ~ 0 weight on the face where its
+    # minimizer lies; started from the target side it crawls.
+    for lam in reversed(config.scalarization_weights):
         # At the endpoint weights one rate drops out of the objective and
         # the minimizer is non-unique in that coordinate; a hair of the
         # other term breaks the tie toward the lower-left frontier corner.
@@ -454,15 +439,10 @@ def solve_cascade(
         def gradient(q, w=w):
             return w * prog.mi_grad(q) + (1.0 - w) * mi_z_grad(q)
 
-        best = None
-        for q0 in (start_a, prog.p.copy()):
-            qs, fs, gs = _fista(prog, value, gradient, q0, config)
-            if best is None or fs + gs < best[1] + best[2]:
-                best = (qs, fs, gs)
-            if best[2] <= 50.0 * config.duality_gap_tol:
-                break
-        points.append(point_for(best[0], best[2], lam))
-    return pareto_filter(points)
+        q, _, gap = _fista(prog, value, gradient, q, config)
+        points.append(point_for(q, gap, lam))
+    # back in weight order, where the filter keeps the first of duplicates
+    return pareto_filter(points[::-1])
 
 
 def pareto_filter(points: Sequence[RegionPoint], tol: float = 1e-12) -> list:

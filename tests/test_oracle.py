@@ -389,6 +389,30 @@ def loop_grid_min_mi(p0, target, delta, grid_step):
     return max(best_val, 0.0), full, total
 
 
+def loop_composition_rows(m, step, target_row):
+    """Reference: the composition lattice built one combination at a time."""
+    total = int(round(1.0 / step))
+    combos = []
+    for c in itertools.combinations(range(total + m - 1), m - 1):
+        prev = -1
+        counts = []
+        for b in c:
+            counts.append(b - prev - 1)
+            prev = b
+        counts.append(total + m - 2 - prev)
+        combos.append(counts)
+    rows = np.asarray(combos, dtype=float) / total
+    return np.vstack([rows, target_row[None, :]])
+
+
+@pytest.mark.parametrize("m, step", [(3, 1 / 40), (3, 1e-2), (4, 1 / 40), (4, 1 / 7)])
+def test_composition_rows_match_loop(m, step):
+    row = np.random.default_rng(m).dirichlet(np.ones(m))
+    got = orc._composition_rows(m, step, row)
+    want = loop_composition_rows(m, step, row)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 class TestPrunedGridMatchesLoop:
     """Same optimum bits and the same optimizer rows as the full lattice."""
 

@@ -43,6 +43,50 @@ def lp_argmin(prog, c):
     return res.x[:km].reshape(k, m)
 
 
+def lp_delta_star(p0, target):
+    """Reference threshold: min over output pmfs r of the TV between the
+    target joint and p0 x r, as a linear program in (r, u) with
+    u_xy >= |p_xy - r_y|. Unweighted rows and tight tolerances keep HiGHS
+    accurate on entries near zero."""
+    support = np.nonzero(p0.mass > 0.0)[0]
+    w = p0.mass[support]
+    p = target.rows.reshape(target.rows.shape[0], -1)[support]
+    k, m = p.shape
+    pick = np.tile(np.eye(m), (k, 1))
+    ident = np.eye(k * m)
+    res = linprog(
+        np.concatenate([np.zeros(m), 0.5 * np.repeat(w, m)]),
+        A_ub=np.vstack([np.hstack([-pick, -ident]), np.hstack([pick, -ident])]),
+        b_ub=np.concatenate([-p.ravel(), p.ravel()]),
+        A_eq=np.concatenate([np.ones(m), np.zeros(k * m)])[None, :],
+        b_eq=[1.0],
+        bounds=[(0, None)] * (m + k * m),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.success, res.message
+    return res.fun
+
+
+def delta_star_instances():
+    """The frontier battery plus edge cases: near-zero entries, zero-mass
+    source symbols, one support row, tied columns and a cascade target."""
+    rng = np.random.default_rng(61)
+    out = list(random_two_node_instances(20, seed=424242))
+    for i in range(24):
+        kx, ky = 2 + i % 3, 2 + (i // 3) % 3
+        rows = rng.dirichlet(np.ones(ky), size=kx)
+        rows[rng.random(rows.shape) < 0.3] *= 1e-7
+        out.append((pc.Pmf(rng.dirichlet(np.ones(kx))), pc.CondPmf(rows / rows.sum(1, keepdims=True))))
+    rows = rng.dirichlet(np.ones(3), size=3)
+    out.append((pc.Pmf([0.6, 0.0, 0.4]), pc.CondPmf(rows)))
+    out.append((pc.Pmf([0.0, 1.0, 0.0]), pc.CondPmf(rows)))
+    out.append((pc.Pmf([0.5, 0.5]), pc.CondPmf([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25]])))
+    out.append((pc.Pmf([0.2, 0.3, 0.5]), pc.CondPmf([[0.4, 0.4, 0.2], [0.1, 0.1, 0.8], [0.4, 0.4, 0.2]])))
+    out.append((pc.Pmf([0.3, 0.7]), pc.CondPmf(rng.dirichlet(np.ones(4), size=2).reshape(2, 2, 2))))
+    return out
+
+
 def battery_programs(fraction):
     """Criterion 03's battery, each at delta = fraction * delta_star."""
     return [
@@ -141,6 +185,17 @@ class TestDeltaStar:
         mixed = pc.CondPmf(0.5 * np.eye(2) + 0.25)
         assert rs.delta_star(uniform_binary, mixed) <= base + 1e-12
 
+    def test_greedy_matches_linear_program(self):
+        for p0, tgt in delta_star_instances():
+            value, r = rs._delta_star_full(p0, tgt)
+            assert abs(value - lp_delta_star(p0, tgt)) <= 1e-9
+            assert r.min() >= 0.0 and abs(r.sum() - 1.0) <= 1e-15
+            # the returned value is the TV that r itself attains
+            flat = np.tile(r, (p0.alphabet_size, 1))
+            free = pc.compose(p0, pc.CondPmf(flat.reshape(tgt.rows.shape)))
+            tv = pc.total_variation(pc.compose(p0, tgt), free)
+            assert abs(tv - value) <= 1e-15
+
 
 class TestCascade:
     @pytest.fixture
@@ -180,6 +235,27 @@ class TestCascade:
                     and (b.R1 < a.R1 - 1e-12 or b.R2 < a.R2 - 1e-12)
                 )
                 assert not dominates
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_warm_sweep_matches_cold_solves(self, uniform_binary, cascade_target, shuffle):
+        # each weight solved alone starts cold; the sweep's frontier must
+        # reach the same weighted minimum within both certificates
+        lams = rs.SolverConfig().scalarization_weights
+        if shuffle:
+            lams = tuple(np.random.default_rng(7).permutation(lams).tolist())
+        delta = 0.12
+        pts = rs.solve_cascade(
+            uniform_binary, cascade_target, delta, rs.SolverConfig(scalarization_weights=lams)
+        )
+        sweep_gap = max(p.certificate for p in pts)
+        for lam in lams:
+            (cold,) = rs.solve_cascade(
+                uniform_binary, cascade_target, delta, rs.SolverConfig(scalarization_weights=(lam,))
+            )
+            w = min(max(lam, 1e-6), 1.0 - 1e-6)
+            warm = min(w * p.R1 + (1.0 - w) * p.R2 for p in pts)
+            want = w * cold.R1 + (1.0 - w) * cold.R2
+            assert abs(warm - want) <= sweep_gap + cold.certificate + 1e-12
 
     def test_points_feasible(self, uniform_binary, cascade_target):
         cfg = rs.SolverConfig(scalarization_weights=(0.0, 0.5, 1.0))
