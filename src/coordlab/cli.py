@@ -5,7 +5,7 @@ carry no timestamps or wall-clock data, floats are serialized with their
 shortest round-trip representation, JSON keys are sorted, and files are
 written atomically. Running a command twice produces byte-identical files.
 
-Exit codes: 0 success, 1 invariant failure (check), 2 spec or schema
+Exit codes: 0 success, 1 failed criterion (check), 2 spec or schema
 error, 3 convergence shortfall (a region point's certified gap exceeds
 the configured tolerance), 4 partial results (a simulation cell was
 skipped by a guard, or an oracle scan ran out of budget).
@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -82,10 +83,6 @@ class ProblemSpec:
     oracle_budget: Optional[int]
     output_dir: Optional[str]
 
-    @property
-    def x_size(self) -> int:
-        return self.source.alphabet_size
-
     def instance_json(self) -> dict:
         return {
             "network": self.network,
@@ -109,8 +106,9 @@ def _rate_grid(rates: dict, key: str, errors) -> tuple:
         return ()
     out = []
     for i, v in enumerate(grid):
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or v < 0:
-            errors.append(f"rates.{key}_grid[{i}]: rates are non-negative numbers")
+        ok = isinstance(v, (int, float)) and not isinstance(v, bool)
+        if not ok or not 0 <= v < math.inf:
+            errors.append(f"rates.{key}_grid[{i}]: rates are finite numbers >= 0")
             return ()
         out.append(float(v))
     return tuple(out)
@@ -128,8 +126,8 @@ def _number_grid(doc: dict, key: str, errors, integer=False, lo=0.0) -> tuple:
         ok = isinstance(v, (int, float)) and not isinstance(v, bool)
         if integer:
             ok = isinstance(v, int) and not isinstance(v, bool)
-        if not ok or v < lo:
-            kind = "an integer" if integer else "a number"
+        if not ok or not lo <= v < math.inf:
+            kind = "an integer" if integer else "a finite number"
             errors.append(f"{key}[{i}]: expected {kind} >= {lo}")
             return ()
         out.append(int(v) if integer else float(v))
@@ -545,18 +543,18 @@ def cmd_oracle(spec: ProblemSpec, out_dir: str, seed: Optional[int]) -> int:
 
 
 def cmd_check() -> int:
-    """Runs the default invariant battery; nonzero exit on any failure."""
+    """Runs acceptance criteria 01-08 and 10; nonzero exit on any failure."""
     from coordlab import instances
 
     failures = 0
-    for name, check in instances.default_battery():
-        ok, detail = check()
+    for idx, name, criterion in instances.CRITERIA:
+        ok, detail = criterion()
         status = "ok" if ok else "FAIL"
-        print(f"{status:4s} {name}: {detail}")
+        print(f"{status:4s} {idx:02d} {name}: {detail}")
         if not ok:
             failures += 1
     if failures:
-        print(f"check: {failures} invariant(s) violated", file=sys.stderr)
+        print(f"check: {failures} criterion(s) failed", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
@@ -602,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("region", "solve the rate region over the spec's delta grid")
     add("simulate", "Monte-Carlo codebook codes over the (n, rate) grid")
     add("oracle", "exhaustive small-instance consistency scan")
-    add("check", "run the built-in invariant battery", needs_spec=False)
+    add("check", "run acceptance criteria 01-08 and 10", needs_spec=False)
     return parser
 
 

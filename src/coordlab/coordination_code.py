@@ -806,7 +806,7 @@ def apply_code(code, x_seq):
     return tuple(rows[0].copy() for rows in code.decoded_rows(x))
 
 
-def _check_target(code, target: JointPmf):
+def _require_target_shape(code, target: JointPmf):
     if target.shape != code.action_sizes:
         raise ValueError(
             f"target shape {target.shape} does not match code alphabets "
@@ -849,7 +849,7 @@ def induced_distribution(code, p0: Pmf) -> dict:
 
 def expected_tv_exact(code, p0: Pmf, target: JointPmf) -> float:
     """E{TV(joint type of actions, target)} by full source enumeration."""
-    _check_target(code, target)
+    _require_target_shape(code, target)
     if p0.alphabet_size != code.x_size:
         raise ValueError("source alphabet does not match the code")
     inputs = _enumerate_inputs(code.x_size, code.n)
@@ -907,7 +907,7 @@ def expected_tv_monte_carlo(
     depends only on (code, p0, target, samples, seed), not on the worker
     count.
     """
-    _check_target(code, target)
+    _require_target_shape(code, target)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if p0.alphabet_size != code.x_size:
@@ -1043,71 +1043,3 @@ def block_repeat(code, k: int) -> BlockRepeatCode:
     """Concatenate k independent uses of a code; rates are unchanged."""
     return BlockRepeatCode(base=code, k=k)
 
-
-# -- serialization -------------------------------------------------------
-
-
-def code_to_json_dict(code) -> dict:
-    """Explicit-table JSON form; enumeration-guard-sized codes only."""
-    if isinstance(code, BlockRepeatCode):
-        raise ValueError("serialize the base code and the repetition count")
-    if isinstance(code, CodebookCode):
-        code = materialize_table_code(code)
-    doc = {
-        "n": code.n,
-        "R1": code.rate1,
-        "R2": code.rate2,
-        "alphabets": {"x": code.x_size, "y": code.y_size, "z": code.z_size},
-        "encoder": code.encoder.tolist(),
-        "recoder": None if code.recoder is None else code.recoder.tolist(),
-        "decoders": [code.decoder_mid.tolist()]
-        + ([] if code.decoder_end is None else [code.decoder_end.tolist()]),
-    }
-    return doc
-
-
-def code_from_json_dict(doc: dict) -> TableCode:
-    alpha = doc["alphabets"]
-    kwargs = {}
-    if doc.get("recoder") is not None:
-        kwargs = {
-            "rate2": float(doc["R2"]),
-            "z_size": int(alpha["z"]),
-            "recoder": np.asarray(doc["recoder"], dtype=np.int64),
-            "decoder_end": np.asarray(doc["decoders"][1], dtype=np.int64),
-        }
-    return TableCode(
-        n=int(doc["n"]),
-        x_size=int(alpha["x"]),
-        y_size=int(alpha["y"]),
-        rate1=float(doc["R1"]),
-        encoder=np.asarray(doc["encoder"], dtype=np.int64),
-        decoder_mid=np.asarray(doc["decoders"][0], dtype=np.int64),
-        **kwargs,
-    )
-
-
-def materialize_table_code(code: CodebookCode) -> TableCode:
-    """Evaluate a codebook code's encoder on every input to get tables."""
-    if code.m1 > 1 << 16:
-        raise ValueError(f"codebook with {code.m1} messages is too large to tabulate")
-    inputs = _enumerate_inputs(code.x_size, code.n)
-    msgs = code.encode(inputs)
-    kwargs = {}
-    if code.is_cascade:
-        kwargs = {
-            "rate2": code.rate2,
-            "z_size": code.z_size,
-            "recoder": code.recoder.copy(),
-            "decoder_end": code.symbols_z.copy(),
-        }
-    all_msgs = np.arange(message_count(code.n, code.rate1))
-    return TableCode(
-        n=code.n,
-        x_size=code.x_size,
-        y_size=code.y_size,
-        rate1=code.rate1,
-        encoder=msgs,
-        decoder_mid=code.codeword_rows(all_msgs),
-        **kwargs,
-    )

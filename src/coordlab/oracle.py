@@ -40,6 +40,8 @@ from scipy.special import xlogy
 from coordlab.prob_core import CondPmf, JointPmf, Pmf, TV_SLACK, compose
 from coordlab.coordination_code import (
     TableCode,
+    _tv_rows,
+    _type_counts,
     build_codebook_code,
     expected_tv_exact,
     message_count,
@@ -210,17 +212,6 @@ def grid_min_mi(
     )
 
 
-def _type_tv(jc: np.ndarray, target: JointPmf) -> np.ndarray:
-    """TV to the target of the joint type of each row of joint-symbol codes."""
-    rows, n = jc.shape
-    cells = target.mass.size
-    offs = (np.arange(rows, dtype=np.int64) * cells)[:, None]
-    counts = np.bincount((jc + offs).ravel(), minlength=rows * cells).reshape(
-        -1, cells
-    )
-    return 0.5 * np.abs(counts / n - target.mass.ravel()[None, :]).sum(axis=1)
-
-
 def _all_blocks(size: int, n: int) -> np.ndarray:
     return np.indices((size,) * n).reshape(n, size**n).T.copy()
 
@@ -300,7 +291,8 @@ def exhaustive_best_code(
     y_blocks = _all_blocks(sizes[1], n)
     # d[i, y]: TV of the pair type to the target
     jc = x_blocks[:, None, :] * sizes[1] + y_blocks[None, :, :]
-    d = _type_tv(jc.reshape(-1, n), target).reshape(x_blocks.shape[0], u)
+    counts = _type_counts(jc.reshape(-1, n), target.mass.size)
+    d = _tv_rows(counts, n, target.mass.ravel()).reshape(x_blocks.shape[0], u)
     best_val, best_set = _best_codeword_set(d, probs, eff)
     enc = np.argmin(d[:, best_set], axis=1)
     dec = y_blocks[list(best_set)]
@@ -346,7 +338,8 @@ def _exhaustive_cascade(p0, target, n, rate1, rate2, guard, x_blocks, probs, sta
         (x_blocks[:, None, None, :] * sizes[1] + y_blocks[None, :, None, :]) * sizes[2]
         + z_blocks[None, None, :, :]
     )
-    d3 = _type_tv(jc.reshape(-1, n), target).reshape(nx, uy, uz)
+    counts = _type_counts(jc.reshape(-1, n), target.mass.size)
+    d3 = _tv_rows(counts, n, target.mass.ravel()).reshape(nx, uy, uz)
     best = (np.inf, None, None)
     for z_combo in itertools.combinations(range(uz), e2):
         dp = d3[:, :, list(z_combo)].reshape(nx, -1)

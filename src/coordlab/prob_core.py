@@ -21,7 +21,6 @@ from scipy.special import rel_entr
 
 NORM_TOL = 1e-12   # pmf mass must sum to 1 within this
 TV_SLACK = 1e-12   # closed-ball slack for neighborhood membership
-TV_MAX = 1.0       # total variation between pmfs never exceeds 1
 LN2 = float(np.log(2.0))
 
 _BRUTE_FORCE_GUARD = 100_000  # max sequence count for exact type enumeration
@@ -35,7 +34,7 @@ def _frozen_mass(values, what: str) -> np.ndarray:
     if arr.min() < -NORM_TOL:
         raise ValueError(f"{what}: negative entry {arr.min():.3g}")
     total = arr.sum()
-    if abs(total - 1.0) > NORM_TOL:
+    if not abs(total - 1.0) <= NORM_TOL:  # NaN fails here too
         raise ValueError(f"{what}: mass sums to {float(total)!r}, expected 1")
     np.clip(arr, 0.0, None, out=arr)
     arr.setflags(write=False)
@@ -58,16 +57,6 @@ class Pmf:
     def alphabet_size(self) -> int:
         return self.mass.shape[0]
 
-    @classmethod
-    def uniform(cls, k: int) -> "Pmf":
-        return cls(np.full(k, 1.0 / k))
-
-    @classmethod
-    def point_mass(cls, k: int, at: int) -> "Pmf":
-        m = np.zeros(k)
-        m[at] = 1.0
-        return cls(m)
-
     def __eq__(self, other):
         return isinstance(other, Pmf) and np.array_equal(self.mass, other.mass)
 
@@ -87,9 +76,6 @@ class JointPmf:
     @property
     def shape(self) -> tuple:
         return self.mass.shape
-
-    def marginal(self, axes) -> "JointPmf":
-        return marginal(self, axes)
 
     def __eq__(self, other):
         return isinstance(other, JointPmf) and np.array_equal(self.mass, other.mass)
@@ -114,7 +100,7 @@ class CondPmf:
         if flat.min() < -NORM_TOL:
             raise ValueError(f"CondPmf: negative entry {flat.min():.3g}")
         sums = flat.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - 1.0) > NORM_TOL)[0]
+        bad = np.nonzero(~(np.abs(sums - 1.0) <= NORM_TOL))[0]  # NaN rows too
         if bad.size:
             raise ValueError(
                 f"CondPmf: row {bad[0]} sums to {float(sums[bad[0]])!r}, expected 1"
@@ -128,16 +114,9 @@ class CondPmf:
     def input_size(self) -> int:
         return self.rows.shape[0]
 
-    @property
-    def output_shape(self) -> tuple:
-        return self.rows.shape[1:]
-
     @classmethod
     def identity(cls, k: int) -> "CondPmf":
         return cls(np.eye(k))
-
-    def row(self, x: int) -> JointPmf:
-        return JointPmf(self.rows[x])
 
     def __eq__(self, other):
         return (
@@ -177,9 +156,6 @@ class TypeRecord:
     @property
     def mass(self) -> np.ndarray:
         return self.counts / self.blocklength
-
-    def pmf(self) -> JointPmf:
-        return JointPmf(self.mass)
 
     def __eq__(self, other):
         return (

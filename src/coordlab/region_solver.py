@@ -39,23 +39,16 @@ _STALL_WINDOW = 25     # iterations between samples of the plateau test
 class SolverConfig:
     duality_gap_tol: float = 1e-7
     max_iterations: int = 20000
-    delta_grid: tuple = ()
     scalarization_weights: tuple = tuple(i / 32 for i in range(33))
 
     def __post_init__(self):
-        if self.duality_gap_tol <= 0:
-            raise ValueError("duality_gap_tol must be positive")
-        if self.max_iterations < 1:
+        if not 0 < self.duality_gap_tol < math.inf:
+            raise ValueError("duality_gap_tol must be a positive finite number")
+        if not self.max_iterations >= 1:  # NaN fails here too
             raise ValueError("max_iterations must be >= 1")
-        grid = tuple(float(d) for d in self.delta_grid)
-        if any(not 0.0 <= d <= 1.0 for d in grid):
-            raise ValueError(f"delta grid outside [0, 1]: {grid}")
-        if any(b < a for a, b in zip(grid, grid[1:])):
-            raise ValueError(f"delta grid not ascending: {grid}")
         lams = tuple(float(v) for v in self.scalarization_weights)
         if any(not 0.0 <= v <= 1.0 for v in lams):
             raise ValueError(f"scalarization weights outside [0, 1]: {lams}")
-        object.__setattr__(self, "delta_grid", grid)
         object.__setattr__(self, "scalarization_weights", lams)
 
 
@@ -81,9 +74,6 @@ class RegionPoint:
             object.__setattr__(self, name, max(float(v), 0.0))
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta {self.delta} outside [0, 1]")
-
-    def rates(self) -> tuple:
-        return (self.R1,) if self.R2 is None else (self.R1, self.R2)
 
 
 def _sanitize_delta(delta: float) -> float:
@@ -472,27 +462,3 @@ def pareto_filter(points: Sequence[RegionPoint], tol: float = 1e-12) -> list:
     kept.sort(key=lambda pt: (pt.R1, pt.R2 if pt.R2 is not None else 0.0))
     return kept
 
-
-def region_membership(
-    p0: Pmf,
-    target: CondPmf,
-    candidate: RegionPoint,
-    config: SolverConfig = SolverConfig(),
-):
-    """Does the candidate rate tuple lie in the achievable region at its
-    delta? Returns (bool, signed margin in bits); positive margin means
-    strictly inside."""
-    if target.rows.ndim == 2:
-        frontier = [solve_two_node(p0, target, candidate.delta, config)]
-    else:
-        frontier = solve_cascade(p0, target, candidate.delta, config)
-    margins = []
-    for pt in frontier:
-        parts = [candidate.R1 - pt.R1]
-        if pt.R2 is not None:
-            if candidate.R2 is None:
-                raise ValueError("cascade membership needs an R2 in the candidate")
-            parts.append(candidate.R2 - pt.R2)
-        margins.append(min(parts))
-    margin = max(margins)
-    return margin >= -config.duality_gap_tol, float(margin)

@@ -2,21 +2,18 @@
 
 Each test prints its verdict via sys.__stdout__ so the lines survive
 pytest's capture, then asserts. Stated runtime budgets are asserted too.
+Criteria 01-08 and 10 are ``instances.CRITERIA``, the list ``coordlab
+check`` runs; 09 (Monte Carlo at n = 32) and 11 (CLI bytes in a temp
+directory) live here only.
 """
 
-import itertools
 import json
-import subprocess
 import sys
 import time
-from fractions import Fraction
-
-import numpy as np
 
 from coordlab import cli
 from coordlab import coordination_code as cc
 from coordlab import instances as ins
-from coordlab import oracle as orc
 from coordlab import prob_core as pc
 from coordlab import region_solver as rs
 
@@ -31,207 +28,44 @@ def report(idx, name, ok, detail):
     assert ok, f"criterion {idx} ({name}): {detail}"
 
 
+CRITERIA = {idx: (name, fn) for idx, name, fn in ins.CRITERIA}
+
+
+def run_criterion(idx):
+    name, fn = CRITERIA[idx]
+    report(idx, name, *fn())
+
+
 def test_criterion_01_expected_type_identity():
-    rng = np.random.default_rng(1001)
-    t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(50):
-        a = int(rng.integers(1, 4))
-        n = int(rng.integers(1, 4))
-        p = rng.dirichlet(np.ones(a**n)).reshape((a,) * n)
-        avg = pc.expected_type(
-            [pc.Pmf(m) for m in pc.coordinate_marginals(p)]
-        ).mass
-        worst = max(worst, float(np.abs(avg - pc.expected_type_bruteforce(p)).max()))
-    num = rng.integers(1, 20, size=8)
-    frac = np.array(
-        [Fraction(int(v), int(num.sum())) for v in num], dtype=object
-    ).reshape(2, 2, 2)
-    exact_avg = sum(pc.coordinate_marginals(frac)) / 3
-    exact_err = max(
-        abs(x - y) for x, y in zip(exact_avg, pc.expected_type_bruteforce(frac))
-    )
-    elapsed = time.perf_counter() - t0
-    report(
-        1,
-        "expected type equals averaged marginals",
-        worst <= 1e-12 and exact_err == 0 and elapsed < 1.0,
-        f"float max err {worst:.2e} (<=1e-12), rational err {exact_err}, "
-        f"{elapsed:.2f}s (<1s)",
-    )
+    run_criterion(1)
 
 
 def test_criterion_02_tv_axioms():
-    rng = np.random.default_rng(1002)
-    t0 = time.perf_counter()
-    viol = 0.0
-    for _ in range(1000):
-        k = int(rng.integers(2, 6))
-        p, q, r = (pc.Pmf(rng.dirichlet(np.ones(k))) for _ in range(3))
-        lam = float(rng.random())
-        tpq = pc.total_variation(p, q)
-        viol = max(viol, abs(tpq - pc.total_variation(q, p)))
-        viol = max(viol, -tpq, tpq - 1.0)
-        viol = max(viol, pc.total_variation(p, r) - tpq - pc.total_variation(q, r))
-        mix = pc.Pmf(lam * p.mass + (1 - lam) * q.mass)
-        viol = max(
-            viol,
-            pc.total_variation(mix, r)
-            - lam * pc.total_variation(p, r)
-            - (1 - lam) * pc.total_variation(q, r),
-        )
-    elapsed = time.perf_counter() - t0
-    report(
-        2,
-        "TV symmetry, range, triangle, convexity",
-        viol <= 1e-12 and elapsed < 1.0,
-        f"1000 triples, worst violation {viol:.2e} (<=1e-12), "
-        f"{elapsed:.2f}s (<1s)",
-    )
+    run_criterion(2)
 
 
 def test_criterion_03_solver_endpoints():
-    t0 = time.perf_counter()
-    worst_end = worst_excess = 0.0
-    for p0, tgt in ins.random_two_node_instances(20, seed=424242):
-        joint = pc.compose(p0, tgt)
-        ds = rs.delta_star(p0, tgt)
-        at_zero = rs.solve_two_node(p0, tgt, 0.0)
-        at_star = rs.solve_two_node(p0, tgt, ds)
-        worst_end = max(
-            worst_end, abs(at_zero.R1 - pc.mutual_information(joint)), at_star.R1
-        )
-        for d, pt in ((0.0, at_zero), (ds, at_star)):
-            tv = pc.total_variation(pc.compose(p0, pt.argmin_conditional), joint)
-            worst_excess = max(worst_excess, tv - d)
-    elapsed = time.perf_counter() - t0
-    report(
-        3,
-        "solver endpoints on 20 random instances",
-        worst_end <= 1e-6 and worst_excess <= 1e-10 and elapsed < 30.0,
-        f"worst endpoint err {worst_end:.2e} (<=1e-6), worst TV excess "
-        f"{worst_excess:.2e} (<=1e-10), {elapsed:.1f}s (<30s)",
-    )
+    run_criterion(3)
 
 
 def test_criterion_04_solver_vs_grid_oracle():
-    t0 = time.perf_counter()
-    worst = 0.0
-    for p0, tgt in ins.random_binary_instances(10, seed=77):
-        for d in (0.05, 0.1, 0.2):
-            rep = orc.grid_min_mi(p0, tgt, d, 1e-3)
-            pt = rs.solve_two_node(p0, tgt, d)
-            worst = max(worst, abs(rep.optimum - pt.R1))
-    elapsed = time.perf_counter() - t0
-    report(
-        4,
-        "solver vs dense grid on 10 binary instances",
-        worst <= 1e-3 and elapsed < 120.0,
-        f"worst |solver - oracle| {worst:.2e} bits (<=1e-3), "
-        f"{elapsed:.1f}s (<2min)",
-    )
+    run_criterion(4)
 
 
 def test_criterion_05_monotone_convex_rate_curve():
-    cfg = rs.SolverConfig()
-    tol = 2.0 * cfg.duality_gap_tol
-    worst_mono = worst_conv = 0.0
-    for p0, tgt in ins.random_two_node_instances(20, seed=424242):
-        ds = rs.delta_star(p0, tgt)
-        vals = [
-            rs.solve_two_node(p0, tgt, float(d), cfg).R1
-            for d in np.linspace(0.0, ds, 9)
-        ]
-        for a, b in zip(vals, vals[1:]):
-            worst_mono = max(worst_mono, b - a)
-        for a, b, c in zip(vals, vals[1:], vals[2:]):
-            worst_conv = max(worst_conv, 2 * b - a - c)
-    report(
-        5,
-        "rate curve monotone and convex on 9-point grids",
-        worst_mono <= tol and worst_conv <= tol,
-        f"worst monotonicity violation {worst_mono:.2e}, worst convexity "
-        f"violation {worst_conv:.2e} (both <= {tol:.0e})",
-    )
-
-
-def _battery_expected_tvs():
-    codes = ins.binary_battery_codes()
-    sources = ins.battery_sources()
-    targets = ins.battery_targets()
-    etv = {
-        (ci, si, ti): cc.expected_tv_exact(code, src, tgt)
-        for (ci, code), (si, src), (ti, tgt) in itertools.product(
-            enumerate(codes), enumerate(sources), enumerate(targets)
-        )
-    }
-    return codes, sources, targets, etv
+    run_criterion(5)
 
 
 def test_criterion_06_achievability_chain():
-    codes, sources, targets, etv = _battery_expected_tvs()
-    violations = 0
-    checked = 0
-    for ci, si in itertools.product(range(len(codes)), range(len(sources))):
-        for qi, pi in itertools.product(range(len(targets)), repeat=2):
-            lhs = etv[ci, si, pi]
-            rhs = etv[ci, si, qi] + pc.total_variation(targets[qi], targets[pi])
-            checked += 1
-            if lhs > rhs + 1e-12:
-                violations += 1
-    report(
-        6,
-        "triangle chain over the single-sample binary battery",
-        violations == 0,
-        f"{checked} code/source/target-pair checks, {violations} violations",
-    )
+    run_criterion(6)
 
 
 def test_criterion_07_jensen_step():
-    codes, sources, targets, etv = _battery_expected_tvs()
-    violations = 0
-    checked = 0
-    for ci, si in itertools.product(range(len(codes)), range(len(sources))):
-        e_type = cc.expected_type_of_code(codes[ci], sources[si])
-        for ti in range(len(targets)):
-            checked += 1
-            if pc.total_variation(e_type, targets[ti]) > etv[ci, si, ti] + 1e-12:
-                violations += 1
-    report(
-        7,
-        "expected TV dominates TV of expected type",
-        violations == 0,
-        f"{checked} code/source/target checks, {violations} violations",
-    )
+    run_criterion(7)
 
 
 def test_criterion_08_block_repetition():
-    p0 = pc.Pmf([0.5, 0.5])
-    base = cc.build_codebook_code(p0, pc.CondPmf.identity(2), 1, rate1=1.0, seed=5)
-    target = cc.expected_type_of_code(base, p0)
-    t0 = time.perf_counter()
-    rates_exact = True
-    medians, ses = [], []
-    for k in (1, 4, 16, 64):
-        rep_code = cc.block_repeat(base, k)
-        rates_exact = rates_exact and rep_code.rate1 == base.rate1
-        rep = cc.expected_tv_monte_carlo(rep_code, p0, target, 10_000, seed=31)
-        medians.append(rep.quantiles[2])
-        ses.append(rep.standard_error)
-    elapsed = time.perf_counter() - t0
-    trend_ok = all(
-        b <= a + max(sa, sb)
-        for (a, b), (sa, sb) in zip(
-            zip(medians, medians[1:]), zip(ses, ses[1:])
-        )
-    )
-    report(
-        8,
-        "block repetition rates and median TV trend",
-        rates_exact and trend_ok and elapsed < 60.0,
-        f"rates exact {rates_exact}, medians {medians} non-increasing within "
-        f"one SE {trend_ok}, {elapsed:.1f}s (<1min)",
-    )
+    run_criterion(8)
 
 
 def test_criterion_09_finite_n_trend():
@@ -257,30 +91,7 @@ def test_criterion_09_finite_n_trend():
 
 
 def test_criterion_10_converse_scan():
-    targets = ins.battery_targets()
-    pairs = [(pc.Pmf([0.5, 0.5]), pc.CondPmf.identity(2))]
-    for j in (1, 2):
-        pairs.append(
-            (pc.marginal_pmf(targets[j], 0), pc.conditional(targets[j]))
-        )
-    t0 = time.perf_counter()
-    flags = 0
-    evaluated = 0
-    for p0, tgt in pairs:
-        out = orc.theorem_consistency_scan(
-            p0, tgt, n_grid=(1, 2, 3), delta_grid=(0.0, 0.1, 0.25, 0.5, 1.0)
-        )
-        assert not out["partial"]
-        flags += out["flag_count"]
-        evaluated += out["evaluated_codes"]
-    elapsed = time.perf_counter() - t0
-    report(
-        10,
-        "exhaustive codes never undercut the frontier",
-        flags == 0 and elapsed < 600.0,
-        f"{len(pairs)} scans, {evaluated} codes enumerated, {flags} flags, "
-        f"{elapsed:.1f}s (<10min)",
-    )
+    run_criterion(10)
 
 
 def test_criterion_11_byte_determinism(tmp_path):

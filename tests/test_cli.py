@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from coordlab import cli
 from coordlab import coordination_code as cc
+from coordlab import instances
 from coordlab import prob_core as pc
 
 
@@ -53,10 +55,12 @@ class TestSpecParsing:
             network="ring",
             schema_version=7,
             bogus=1,
+            delta_grid=[0.5, 0.1],
         )
         with pytest.raises(cli.SpecError) as exc:
             cli.parse_problem_spec(doc)
         text = "\n".join(exc.value.messages)
+        assert "delta_grid: grid must be sorted ascending" in text
         assert "source:" in text
         assert "network:" in text
         assert "schema_version:" in text
@@ -79,6 +83,65 @@ class TestSpecParsing:
         assert rc == cli.EXIT_SCHEMA
         err = capsys.readouterr().err
         assert "spec error" in err and "line 2" in err
+
+
+CASCADE_IDENTITY = dict(
+    network="cascade",
+    alphabets={"x": 2, "y": 2, "z": 2},
+    target=[
+        [[0.5, 0.0], [0.0, 0.5]],
+        [[0.5, 0.0], [0.0, 0.5]],
+    ],
+)
+
+
+# case -> (command, spec fields, the field the message must name); the spec
+# JSON carries NaN / Infinity literals, which json.load accepts
+NON_FINITE = {
+    "delta-nan-region": ("region", {"delta_grid": [0.0, math.nan]}, "delta_grid[1]"),
+    "delta-nan-oracle": ("oracle", {"delta_grid": [math.nan]}, "delta_grid[0]"),
+    "delta-inf-oracle": ("oracle", {"delta_grid": [0.0, math.inf]}, "delta_grid[1]"),
+    "source-nan-region": ("region", {"source": [math.nan, 0.5]}, "source:"),
+    "source-nan-oracle": ("oracle", {"source": [math.nan, 0.5]}, "source:"),
+    "target-nan": ("region", {"target": [[math.nan, 0.0], [0.0, 1.0]]}, "target:"),
+    "r1-grid-nan": (
+        "simulate",
+        {"rates": {"R1_grid": [0.5, math.nan]}},
+        "rates.R1_grid[1]",
+    ),
+    "r1-inf": ("simulate", {"rates": {"R1": math.inf}}, "rates.R1"),
+    "r2-nan": (
+        "simulate",
+        dict(CASCADE_IDENTITY, rates={"R1": 1.0, "R2": math.nan}),
+        "rates.R2",
+    ),
+    "gap-tol-nan": (
+        "region",
+        {"solver": {"duality_gap_tol": math.nan}},
+        "solver: duality_gap_tol",
+    ),
+    "gap-tol-inf": (
+        "region",
+        {"solver": {"duality_gap_tol": math.inf}},
+        "solver: duality_gap_tol",
+    ),
+    "max-iterations-nan": (
+        "region",
+        {"solver": {"max_iterations": math.nan}},
+        "solver: max_iterations",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE))
+def test_non_finite_numbers_rejected(tmp_path, capsys, case):
+    command, fields, field = NON_FINITE[case]
+    spec = write_spec(tmp_path, base_spec(**fields))
+    out = tmp_path / "out"
+    rc = cli.main([command, "--spec", spec, "--out", str(out)])
+    assert rc == cli.EXIT_SCHEMA
+    assert f"spec error: {field}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestRegionCommand:
@@ -113,12 +176,7 @@ class TestRegionCommand:
 
     def test_cascade_free_radius(self, tmp_path):
         doc = base_spec(
-            network="cascade",
-            alphabets={"x": 2, "y": 2, "z": 2},
-            target=[
-                [[0.5, 0.0], [0.0, 0.5]],
-                [[0.5, 0.0], [0.0, 0.5]],
-            ],
+            **CASCADE_IDENTITY,
             delta_grid=[1.0],
             rates={"R1_grid": [1.0], "R2": 1.0},
         )
@@ -256,12 +314,7 @@ class TestOracleCommand:
 
     def test_cascade_not_supported(self, tmp_path, capsys):
         doc = base_spec(
-            network="cascade",
-            alphabets={"x": 2, "y": 2, "z": 2},
-            target=[
-                [[0.5, 0.0], [0.0, 0.5]],
-                [[0.5, 0.0], [0.0, 0.5]],
-            ],
+            **CASCADE_IDENTITY,
             rates={"R1_grid": [1.0], "R2": 1.0},
         )
         spec = write_spec(tmp_path, doc)
@@ -271,15 +324,30 @@ class TestOracleCommand:
 
 
 class TestCheckCommand:
-    def test_battery_passes(self, capsys):
-        assert cli.main(["check"]) == 0
-        out = capsys.readouterr().out
-        assert "ok" in out and "FAIL" not in out
+    # the real criteria run in test_acceptance.py; these pin the exit codes
+    def test_battery_passes(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            instances, "CRITERIA", [(1, "stub", lambda: (True, "fine"))]
+        )
+        assert cli.main(["check"]) == cli.EXIT_OK
+        assert capsys.readouterr().out == "ok   01 stub: fine\n"
+
+    def test_failing_criterion_exits_one(self, monkeypatch, capsys):
+        stubs = [(1, "good", lambda: (True, "fine")), (10, "bad", lambda: (False, "off"))]
+        monkeypatch.setattr(instances, "CRITERIA", stubs)
+        assert cli.main(["check"]) == cli.EXIT_CHECK_FAILED
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines == ["ok   01 good: fine", "FAIL 10 bad: off"]
+        assert "1 criterion(s) failed" in captured.err
 
 
 class TestModuleEntry:
     def test_python_dash_m(self, tmp_path):
         spec = write_spec(tmp_path, base_spec(delta_grid=[0.5]))
+        # the child imports the same package tree as this process
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [
                 sys.executable,
@@ -293,6 +361,7 @@ class TestModuleEntry:
             ],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "frontier.csv").exists()

@@ -10,6 +10,8 @@ from coordlab import oracle as orc
 from coordlab import prob_core as pc
 from coordlab import region_solver as rs
 from coordlab.coordination_code import (
+    _tv_rows,
+    _type_counts,
     block_repeat,
     expected_tv_exact,
     expected_tv_monte_carlo,
@@ -249,7 +251,8 @@ def loop_cascade(p0, target, n, rate1, rate2):
     jc = (
         x_blocks[:, None, None, :] * sizes[1] + y_blocks[None, :, None, :]
     ) * sizes[2] + z_blocks[None, None, :, :]
-    d3 = orc._type_tv(jc.reshape(-1, n), target).reshape(nx, uy, uz)
+    counts = _type_counts(jc.reshape(-1, n), target.mass.size)
+    d3 = _tv_rows(counts, n, target.mass.ravel()).reshape(nx, uy, uz)
     e2 = min(message_count(n, rate2), uz)
     pairs = [(y, zi) for y in range(uy) for zi in range(e2)]
     e1 = min(message_count(n, rate1), len(pairs))

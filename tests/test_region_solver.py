@@ -106,10 +106,6 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             rs.SolverConfig(duality_gap_tol=0.0)
 
-    def test_unsorted_delta_grid(self):
-        with pytest.raises(ValueError):
-            rs.SolverConfig(delta_grid=(0.5, 0.1))
-
     def test_weights_out_of_range(self):
         with pytest.raises(ValueError):
             rs.SolverConfig(scalarization_weights=(0.0, 1.5))
@@ -265,36 +261,6 @@ class TestCascade:
                 pc.compose(uniform_binary, cascade_target),
             )
             assert tv <= 0.1 + 1e-10
-
-
-class TestMembership:
-    def test_above_frontier_inside(self, uniform_binary, identity_channel):
-        frontier = rs.solve_two_node(uniform_binary, identity_channel, 0.1)
-        candidate = rs.RegionPoint(
-            R1=frontier.R1 + 0.05,
-            delta=0.1,
-            argmin_conditional=frontier.argmin_conditional,
-            certificate=0.0,
-            provenance="solver",
-        )
-        inside, margin = rs.region_membership(
-            uniform_binary, identity_channel, candidate
-        )
-        assert inside and margin > 0.04
-
-    def test_below_frontier_outside(self, uniform_binary, identity_channel):
-        frontier = rs.solve_two_node(uniform_binary, identity_channel, 0.1)
-        candidate = rs.RegionPoint(
-            R1=max(frontier.R1 - 0.05, 0.0),
-            delta=0.1,
-            argmin_conditional=frontier.argmin_conditional,
-            certificate=0.0,
-            provenance="solver",
-        )
-        inside, margin = rs.region_membership(
-            uniform_binary, identity_channel, candidate
-        )
-        assert not inside and margin < -0.04
 
 
 class TestParetoFilter:
