@@ -228,6 +228,29 @@ class TestCodebookConstruction:
         with pytest.raises(ValueError, match=r"2\^45 exceeds table_cap"):
             cc.build_codebook_code(uniform_binary, CASCADE_Q, 64, 0.1, 45 / 64, seed=0)
 
+    def test_packed_matches_materialized_table(self, uniform_binary):
+        """The bit-packed fast path and a plain table lookup must agree
+        input-for-input, including tie-breaks; the table is filled by the
+        brute-force encoder. The uniform identity target has empty cells and
+        many tied inputs."""
+        code = cc.build_codebook_code(
+            uniform_binary, pc.CondPmf.identity(2), 10, 0.8, seed=12
+        )
+        inputs = cc._enumerate_inputs(2, 10)
+        table = cc.TableCode(
+            n=code.n,
+            x_size=code.x_size,
+            y_size=code.y_size,
+            rate1=code.rate1,
+            encoder=brute_force_encode(code, inputs),
+            decoder_mid=code.codeword_rows(np.arange(code.m1)),
+        )
+        assert np.array_equal(code.encode(inputs), table.encode(inputs))
+        target = pc.compose(uniform_binary, pc.CondPmf.identity(2))
+        a = cc.expected_tv_exact(code, uniform_binary, target)
+        b = cc.expected_tv_exact(table, uniform_binary, target)
+        assert abs(a - b) <= 1e-12
+
     def test_lowest_index_tie_break(self, uniform_binary):
         # duplicated codewords force exact ties on every input
         base = cc.build_codebook_code(
@@ -315,16 +338,11 @@ class TestEncoderPaths:
 
     def test_packed_broadcast(self):
         rng = np.random.default_rng(21)
-        noisy = pc.CondPmf(rng.dirichlet([1, 1], 2))
+        p0 = pc.Pmf([0.3, 0.7])
+        code = cc.build_codebook_code(p0, pc.CondPmf(rng.dirichlet([1, 1], 2)), 10, 0.8, seed=3)
+        assert code.packed_y is not None and code.m1 <= cc._BROADCAST_WORDS
         inputs = cc._enumerate_inputs(2, 10)
-        # the uniform identity target has empty cells and many tied inputs
-        for p0, q, seed in [
-            (pc.Pmf([0.3, 0.7]), noisy, 3),
-            (pc.Pmf([0.5, 0.5]), pc.CondPmf.identity(2), 12),
-        ]:
-            code = cc.build_codebook_code(p0, q, 10, 0.8, seed=seed)
-            assert code.packed_y is not None and code.m1 <= cc._BROADCAST_WORDS
-            assert np.array_equal(code.encode(inputs), brute_force_encode(code, inputs))
+        assert np.array_equal(code.encode(inputs), brute_force_encode(code, inputs))
 
     @pytest.mark.parametrize("p0", [pc.Pmf([0.5, 0.5]), pc.Pmf([0.4, 0.35, 0.25])])
     def test_candidate_walk(self, p0, monkeypatch):
