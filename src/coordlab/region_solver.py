@@ -20,6 +20,7 @@ to first, each one warm-started from the previous weight's argmin.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -35,6 +36,10 @@ _ROOT_STEPS = 100      # bracket steps of the ball-multiplier search
 _STALL_WINDOW = 25     # iterations between samples of the plateau test
 
 
+def _real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     duality_gap_tol: float = 1e-7
@@ -42,11 +47,19 @@ class SolverConfig:
     scalarization_weights: tuple = tuple(i / 32 for i in range(33))
 
     def __post_init__(self):
-        if not 0 < self.duality_gap_tol < math.inf:
+        # bool is an int subclass, but true is no tolerance or count
+        tol, its = self.duality_gap_tol, self.max_iterations
+        if not _real(tol) or not 0 < tol < math.inf:
             raise ValueError("duality_gap_tol must be a positive finite number")
-        if not self.max_iterations >= 1:  # NaN fails here too
-            raise ValueError("max_iterations must be >= 1")
-        lams = tuple(float(v) for v in self.scalarization_weights)
+        if not _real(its) or not isinstance(its, numbers.Integral) or its < 1:
+            raise ValueError("max_iterations must be an integer >= 1")
+        try:
+            lams = tuple(self.scalarization_weights)
+        except TypeError:  # not iterable
+            lams = ()
+        if not lams or not all(_real(v) for v in lams):
+            raise ValueError("scalarization_weights must be a non-empty list of numbers")
+        lams = tuple(float(v) for v in lams)
         if any(not 0.0 <= v <= 1.0 for v in lams):
             raise ValueError(f"scalarization weights outside [0, 1]: {lams}")
         object.__setattr__(self, "scalarization_weights", lams)

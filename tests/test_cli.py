@@ -65,6 +65,21 @@ class TestSpecParsing:
         assert "network:" in text
         assert "schema_version:" in text
         assert "bogus: unknown field" in text
+        # wrong-typed solver fields are named too, not passed to the solver
+        tol = "duality_gap_tol must be a positive finite number"
+        its = "max_iterations must be an integer >= 1"
+        weights = "scalarization_weights must be a non-empty list of numbers"
+        for solver, message in (
+            ({"duality_gap_tol": "x"}, tol),
+            ({"duality_gap_tol": True}, tol),
+            ({"max_iterations": 2.5}, its),
+            ({"max_iterations": True}, its),
+            ({"scalarization_weights": 5}, weights),
+            ({"scalarization_weights": []}, weights),
+        ):
+            with pytest.raises(cli.SpecError) as exc:
+                cli.parse_problem_spec(base_spec(solver=solver))
+            assert exc.value.messages == [f"solver: {message}"]
 
     def test_both_rate_forms_rejected(self):
         doc = base_spec(rates={"R1": 0.5, "R1_grid": [0.5]})

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,15 +61,40 @@ class TestGridMinMi:
             "coarsen grid_step$",
         ):
             orc.grid_min_mi(pc.Pmf([1.0, 0.0]), ternary, 0.1, 1e-4)
-        # two binary rows whose product lattice is over the cap
+        # two binary rows whose uniform lattices alone are over the cap,
+        # refused before any candidate is built
         with pytest.raises(
             ValueError,
-            match=r"^grid of \d+ cells exceeds _GRID_CELL_CAP 20000000; "
-            "coarsen grid_step$",
+            match=r"^grid of at least 100020001 cells exceeds _GRID_CELL_CAP "
+            "20000000; coarsen grid_step$",
         ):
             orc.grid_min_mi(
                 pc.Pmf([0.5, 0.5]), pc.CondPmf([[0.3, 0.7], [0.6, 0.4]]), 0.1, 1e-4
             )
+
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            (math.nan, r"^grid_step must be in \(0, 1\], got nan$"),
+            (math.inf, r"^grid_step must be in \(0, 1\], got inf$"),
+            (2.0, r"^grid_step must be in \(0, 1\], got 2.0$"),
+            (5e-324, r"^grid_step 5e-324 is too fine: 1 / grid_step overflows$"),
+            (
+                1e-12,
+                r"^grid of at least 1000000000002000000000001 cells exceeds "
+                r"_GRID_CELL_CAP 20000000; coarsen grid_step$",
+            ),
+        ],
+    )
+    def test_rejects_bad_step(self, uniform_binary, identity_channel, step, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                orc.grid_min_mi(uniform_binary, identity_channel, 0.1, step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # refused before any lattice is allocated
 
     def test_reports_positive_bound(self, uniform_binary, identity_channel):
         rep = orc.grid_min_mi(uniform_binary, identity_channel, 0.1, 1e-2)
@@ -437,3 +463,78 @@ class TestPrunedGridMatchesLoop:
         rng = np.random.default_rng(12)
         tgt = pc.CondPmf(rng.dirichlet(np.ones(4), size=2))
         self.check(pc.Pmf([1.0, 0.0]), tgt, delta, 1 / 40)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.3])
+    def test_three_outputs(self, delta):
+        rng = np.random.default_rng(13)
+        tgt = pc.CondPmf(rng.dirichlet(np.ones(3), size=2))
+        self.check(pc.Pmf([0.0, 1.0]), tgt, delta, 1 / 60)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.02, 0.1, 1.0])
+    def test_three_binary_rows(self, delta):
+        rng = np.random.default_rng(14)
+        p0 = pc.Pmf(rng.dirichlet(np.ones(3)))
+        self.check(p0, pc.CondPmf(rng.dirichlet(np.ones(2), size=3)), delta, 1 / 40)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    def test_radius_ends(self, delta):
+        for p0, tgt in ins.random_binary_instances(3, seed=78):
+            self.check(p0, tgt, delta, 1 / 200)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.1])
+    def test_zero_mass_row(self, delta):
+        rng = np.random.default_rng(15)
+        tgt = pc.CondPmf(rng.dirichlet(np.ones(2), size=3))
+        self.check(pc.Pmf([0.6, 0.0, 0.4]), tgt, delta, 1 / 200)
+
+
+    def test_tied_tiles_under_tight_bounds(self, monkeypatch):
+        # Uniform source, identity target, delta = 1: every diagonal cell is
+        # exactly 0, in several tiles. Each tile's bound is set to its least
+        # cell value, and all but tile (0, 0), which holds the first
+        # optimizer, are pulled 1e-12 lower. Tile (0, 0) is then visited
+        # after a tie is found, and a bound equal to the best value must
+        # not stop the search.
+        def tight(cols, side, threshold):
+            least = tile_least(cols, side, threshold)
+            bound = least - 1e-12
+            bound[0, 0] = least[0, 0]
+            return bound
+
+        monkeypatch.setattr(orc, "_tile_bounds", tight)
+        self.check(pc.Pmf([0.5, 0.5]), pc.CondPmf(np.eye(2)), 1.0, 1 / 128)
+
+
+def tile_least(cols, side, threshold):
+    """Least feasible cell value per tile of a two-row grid, every cell scored."""
+    a, b = cols
+    starts = np.arange(0, b.shape[1], side)
+    least = []
+    for lo in range(0, a.shape[1], side):
+        s = a[:, lo : lo + side]
+        mix = s[2:, :, None] + b[2:, None, :]
+        vals = s[1][:, None] + b[1][None, :] - xlogy(mix, mix).sum(axis=0) / orc.LN2
+        vals[s[0][:, None] + b[0][None, :] > threshold] = np.inf
+        least.append(np.minimum.reduceat(vals.min(axis=0), starts))
+    return np.array(least)
+
+
+def test_tile_bounds_below_cells(monkeypatch):
+    """On the criterion-04 instances, no cell of a tile is below its bound."""
+    seen = []
+    real = orc._tile_bounds
+
+    def spy(cols, side, threshold):
+        seen.append((cols, side, threshold, real(cols, side, threshold)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(orc, "_tile_bounds", spy)
+    for p0, tgt in ins.random_binary_instances(10, seed=77):
+        for d in (0.05, 0.1, 0.2):
+            orc.grid_min_mi(p0, tgt, d, 1e-3)
+    assert len(seen) == 30
+    for cols, side, threshold, bound in seen:
+        least = tile_least(cols, side, threshold)
+        # an infinite bound exactly when the tile holds no feasible cell
+        assert np.array_equal(np.isinf(bound), np.isinf(least))
+        assert (bound <= least).all()
