@@ -114,7 +114,7 @@ def _rate_grid(rates: dict, key: str, errors) -> tuple:
     return tuple(out)
 
 
-def _number_grid(doc: dict, key: str, errors, integer=False, lo=0.0) -> tuple:
+def _number_grid(doc: dict, key: str, errors, integer=False, lo=0.0, hi=math.inf) -> tuple:
     grid = doc.get(key)
     if grid is None:
         return ()
@@ -126,9 +126,10 @@ def _number_grid(doc: dict, key: str, errors, integer=False, lo=0.0) -> tuple:
         ok = isinstance(v, (int, float)) and not isinstance(v, bool)
         if integer:
             ok = isinstance(v, int) and not isinstance(v, bool)
-        if not ok or not lo <= v < math.inf:
+        if not ok or not lo <= v <= hi or v == math.inf:
             kind = "an integer" if integer else "a finite number"
-            errors.append(f"{key}[{i}]: expected {kind} >= {lo}")
+            where = f"in [{lo}, {hi}]" if hi < math.inf else f">= {lo}"
+            errors.append(f"{key}[{i}]: expected {kind} {where}")
             return ()
         out.append(int(v) if integer else float(v))
     if any(b < a for a, b in zip(out, out[1:])):
@@ -188,7 +189,8 @@ def parse_problem_spec(doc) -> ProblemSpec:
     except (ValueError, TypeError) as exc:
         errors.append(f"target: {exc}")
 
-    delta_grid = _number_grid(doc, "delta_grid", errors)
+    # TV never exceeds 1, so a larger radius is a typo, not a clamp
+    delta_grid = _number_grid(doc, "delta_grid", errors, lo=0, hi=1)
     n_grid = _number_grid(doc, "n_grid", errors, integer=True, lo=1)
 
     rates = doc.get("rates", {})

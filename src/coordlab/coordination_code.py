@@ -85,7 +85,7 @@ def _enumerate_inputs(x_size: int, n: int) -> np.ndarray:
     """All |X|^n source sequences as an (|X|^n, n) array, lexicographic."""
     total = x_size**n
     if total > ENUM_GUARD:
-        raise ValueError(f"enumeration guard exceeded: {x_size}^{n} > {ENUM_GUARD}")
+        raise ValueError(f"{x_size}^{n} sequences exceed ENUM_GUARD {ENUM_GUARD}")
     return np.indices((x_size,) * n).reshape(n, total).T.copy()
 
 

@@ -3,18 +3,19 @@
 The feasible set (conditionals whose composition with the source stays
 within total variation delta of a target) is the intersection of per-row
 probability simplices with one weighted-l1 ball, and the objectives are
-convex. Accelerated projected gradient (FISTA) minimizes them. Both
-sub-problems have exact closed forms: the Euclidean projection is a
-per-row soft-threshold whose simplex and ball multipliers are found
-between breakpoints of piecewise-linear functions (Condat 2016, "Fast
-projection onto the simplex and the l1 ball"), and the linear
-minimization behind the Frank-Wolfe duality gap is a fractional knapsack
+convex. Accelerated projected gradient (FISTA) minimizes them. The
+Euclidean projection is a per-row soft-threshold: its simplex multiplier
+is found between sorted breakpoints (Condat 2016, "Fast projection onto
+the simplex and the l1 ball"), its ball multiplier by safeguarded Newton
+steps on the piecewise-linear l1 cost, exact on a fixed active pattern
+and warm-started from the last projection. The linear minimization
+behind the Frank-Wolfe duality gap is a fractional knapsack
 solved greedily. The gap is checked after every iteration and the
 first iterate it certifies is returned. Endpoints (delta = 0 and delta
 past the zero-rate threshold delta*) are returned from closed forms with
 zero gap; delta* itself is a separable piecewise-linear minimization
 solved by a greedy fill. The cascade sweep solves its weights from last
-to first, each one warm-started from the previous weight's argmin.
+to first, from lam = 1 down, each warm-started from the last argmin.
 """
 
 from __future__ import annotations
@@ -127,6 +128,7 @@ class _NeighborhoodProgram:
         self.p = rows[self.support]
         self.k, self.m = self.p.shape
         self.budget = 2.0 * delta  # sum_x w_x ||q_x - p_x||_1 <= 2 delta
+        self._mu = 0.0  # ball multiplier of the last projection
 
     # objective pieces -------------------------------------------------
 
@@ -145,10 +147,13 @@ class _NeighborhoodProgram:
     def l1_cost(self, q: np.ndarray) -> float:
         return float((self.w[:, None] * np.abs(q - self.p)).sum())
 
-    def _prox_rows(self, v: np.ndarray, c: np.ndarray) -> np.ndarray:
+    def _prox_rows(self, v: np.ndarray, c: np.ndarray):
         """Per row, argmin of 1/2||q_x - v_x||^2 + c_x ||q_x - p_x||_1 over the
         simplex: max(p + soft(v - nu - p, c), 0) with the simplex multiplier
-        nu solved exactly between sorted breakpoints."""
+        nu solved exactly between sorted breakpoints. Also returns the slope
+        in mu of the l1 cost at c = mu w on this active pattern,
+        -sum_x w_x^2 4|U_x||D_x|/(|U_x|+|D_x|); U_x, D_x are the entries with
+        q > 0 above and below the band |d - nu| <= c_x."""
         d = v - self.p
         # Each entry is nonincreasing and piecewise linear in nu, with kinks
         # at d - c, d + c and v + c (where it reaches zero); so is the row sum,
@@ -167,44 +172,50 @@ class _NeighborhoodProgram:
         s0, s1 = sums[r, j], sums[r, j + 1]
         nu[r] = bp[r, j] + (s0 - 1.0) / (s0 - s1) * (bp[r, j + 1] - bp[r, j])
         q = _prox_entries(self.p, d, cc, nu[:, None])
+        t = d - nu[:, None]
+        up, down = (t > cc).sum(axis=1), ((t < -cc) & (q > 0.0)).sum(axis=1)
+        slope = -4.0 * float((self.w**2 * up * down / np.maximum(up + down, 1)).sum())
         # A row far from the simplex leaves nu with few low bits; the
         # renormalization keeps its sum within rounding of 1.
-        return q / q.sum(axis=1, keepdims=True)
+        return q / q.sum(axis=1, keepdims=True), slope
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Exact Euclidean projection onto (simplex rows) and (l1 ball).
 
-        With ball multiplier mu every row is ``_prox_rows`` at c = mu w; the
-        l1 cost of that point is nonincreasing and piecewise linear in mu,
-        so a bracketed secant search, with bisection when the secant stalls,
-        hits the budget exactly once both ends share a linear piece.
+        With ball multiplier mu every row is ``_prox_rows`` at c = mu w; its
+        l1 cost L(mu) is nonincreasing and piecewise linear, so a Newton step
+        to L = budget is exact on a fixed active pattern. Steps start at the
+        last projection's mu, bisect a bracket on the root when they leave
+        it, and probe mu = 0 only when one reaches it.
         """
         v = v - v.max(axis=1, keepdims=True)  # row shifts do not move it
-        q = self._prox_rows(v, np.zeros(self.k))
-        excess = self.l1_cost(q) - self.budget
-        if excess <= 0.0:
-            return q
         d = v - self.p
-        # Past hi every row's prox is the target row itself.
-        lo, f_lo, q_lo = 0.0, excess, q
+        # Past hi every row's prox is the target row; lo = 0 is unprobed.
+        lo, f_lo, q_lo = 0.0, np.inf, None
         hi = float(((d.max(axis=1) - d.min(axis=1)) / (2.0 * self.w)).max())
         f_hi, q_hi = -self.budget, self.p.copy()
-        bisect = False
+        mu = self._mu if self._mu < hi else 0.0
         for _ in range(_ROOT_STEPS):
-            width = hi - lo
-            mu = 0.5 * (lo + hi) if bisect else lo + width * f_lo / (f_lo - f_hi)
-            # Stop once an end meets the budget to the rounding of the cost
-            # sum, or the bracket has closed to rounding.
-            if min(f_lo, -f_hi) <= 1e-15 or not lo < mu < hi:
-                break
-            q = self._prox_rows(v, mu * self.w)
+            q, slope = self._prox_rows(v, mu * self.w)
             f = self.l1_cost(q) - self.budget
             if f > 0.0:
                 lo, f_lo, q_lo = mu, f, q
+            elif mu == 0.0:
+                return q
             else:
                 hi, f_hi, q_hi = mu, f, q
-            bisect = not bisect and hi - lo > 0.5 * width
-        q = q_lo if f_lo < -f_hi else q_hi
+            # Stop once an end meets the budget to the rounding of the cost
+            # sum, or the bracket has closed to rounding.
+            if min(f_lo, -f_hi) <= 1e-15:
+                break
+            mu = mu - f / slope if slope < 0.0 else (hi if f > 0.0 else lo)
+            if mu <= 0.0 and f_lo == np.inf:
+                mu = 0.0
+            elif not lo < mu < hi:
+                mu = 0.5 * (lo + hi)
+                if not lo < mu < hi:
+                    break
+        q, self._mu = (q_lo, lo) if f_lo < -f_hi else (q_hi, hi)
         # A rounding excess goes back along the ray to the target, which
         # scales the l1 cost linearly and stays inside the simplex.
         cost = self.l1_cost(q)
@@ -427,14 +438,16 @@ def solve_cascade(
 
     q = prog.p + (delta / ds) * (r_star - prog.p)
     points = []
-    # Each weight starts from the previous weight's argmin. Sweeping from
-    # lam = 1 down puts the degenerate lam ~ 0 weight on the face where its
-    # minimizer lies; started from the target side it crawls.
-    for lam in reversed(config.scalarization_weights):
+    # Each weight starts from the previous weight's argmin, beginning at
+    # lam = 1 (a start only, lam None, unless it is the first weight): then
+    # the degenerate lam ~ 0 weight starts on the face where its minimizer
+    # lies; started from the target side it crawls.
+    lams = tuple(reversed(config.scalarization_weights))
+    for lam in lams if lams[0] == 1.0 else (None,) + lams:
         # At the endpoint weights one rate drops out of the objective and
         # the minimizer is non-unique in that coordinate; a hair of the
         # other term breaks the tie toward the lower-left frontier corner.
-        w = min(max(lam, 1e-6), 1.0 - 1e-6)
+        w = min(max(1.0 if lam is None else lam, 1e-6), 1.0 - 1e-6)
 
         def value(q, w=w):
             return w * prog.mi(q) + (1.0 - w) * mi_z(q)
@@ -443,7 +456,8 @@ def solve_cascade(
             return w * prog.mi_grad(q) + (1.0 - w) * mi_z_grad(q)
 
         q, _, gap = _fista(prog, value, gradient, q, config)
-        points.append(point_for(q, gap, lam))
+        if lam is not None:
+            points.append(point_for(q, gap, lam))
     # back in weight order, where the filter keeps the first of duplicates
     return pareto_filter(points[::-1])
 

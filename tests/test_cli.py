@@ -159,6 +159,21 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["region", "oracle"])
+def test_delta_above_one_rejected(tmp_path, capsys, command):
+    # TV never exceeds 1: the library clamps a larger delta with a warning,
+    # but in a spec it is an error that names the entry
+    spec = write_spec(tmp_path, base_spec(delta_grid=[0.0, 0.5, 1.5]))
+    out = tmp_path / "out"
+    rc = cli.main([command, "--spec", spec, "--out", str(out)])
+    assert rc == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "spec error: delta_grid[2]: expected a finite number in [0, 1]" in err
+    assert not out.exists()
+    doc = base_spec(delta_grid=[0.0, 1.0])  # 1 itself is a radius
+    assert cli.parse_problem_spec(doc).delta_grid == (0.0, 1.0)
+
+
 class TestRegionCommand:
     def test_identity_frontier(self, tmp_path):
         spec = write_spec(tmp_path, base_spec())

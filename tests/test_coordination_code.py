@@ -156,6 +156,13 @@ class TestExpectedTv:
                 )
                 assert exact <= exceed + t + 1e-12
 
+    def test_enumeration_guard_named(self):
+        p0 = pc.Pmf([0.5, 0.5])
+        code = cc.build_codebook_code(p0, pc.CondPmf.identity(2), 13, 0.5, seed=3)
+        target = pc.compose(p0, pc.CondPmf.identity(2))
+        with pytest.raises(ValueError, match=r"^2\^13 sequences exceed ENUM_GUARD 4096$"):
+            cc.expected_tv_exact(code, p0, target)
+
 
 class TestMonteCarlo:
     def test_agrees_with_exact(self, uniform_binary):

@@ -253,6 +253,16 @@ class TestCascade:
             want = w * cold.R1 + (1.0 - w) * cold.R2
             assert abs(warm - want) <= sweep_gap + cold.certificate + 1e-12
 
+    def test_lone_zero_weight_certifies(self, uniform_binary, cascade_target):
+        # scripts/specs/cascade_small.json at delta = 0.1: a lone lam = 0
+        # weight started from the target side plateaued at gap 1.08e-7; the
+        # sweep starts it from the lam = 1 argmin instead
+        for lams in ((0.0,), (0.25, 0.0)):
+            cfg = rs.SolverConfig(scalarization_weights=lams)
+            pts = rs.solve_cascade(uniform_binary, cascade_target, 0.1, cfg)
+            assert {p.lam for p in pts} <= set(lams)
+            assert max(p.certificate for p in pts) <= cfg.duality_gap_tol
+
     def test_points_feasible(self, uniform_binary, cascade_target):
         cfg = rs.SolverConfig(scalarization_weights=(0.0, 0.5, 1.0))
         for pt in rs.solve_cascade(uniform_binary, cascade_target, 0.1, cfg):
@@ -285,37 +295,93 @@ class TestParetoFilter:
         assert [p.lam for p in kept] == [0.25]
 
 
+def near_target_battery():
+    """(program, v, VI scale): points near the set at three scales."""
+    rng = np.random.default_rng(31)
+    for prog in battery_programs(0.4):
+        for scale in np.repeat([0.01, 0.1, 1.0], 7):
+            yield prog, prog.p + scale * rng.standard_normal(prog.p.shape), 1.0
+
+
+def large_step_battery():
+    """(program, v, VI scale): FISTA steps with a small Lipschitz estimate
+    land far from the set (zeros in q0 make the gradient's log terms
+    large); rounding in the projection then scales with the spread of v
+    within a row, squared."""
+    rng = np.random.default_rng(32)
+    for prog in battery_programs(0.4):
+        for lip in (1e-6, 1e-3):
+            q0 = prog.project(rng.dirichlet(np.ones(prog.m), size=prog.k))
+            q0[rng.random(q0.shape) < 0.3] = 0.0
+            v = q0 - prog.mi_grad(q0) / lip
+            yield prog, v, float((v.max(axis=1) - v.min(axis=1)).max()) ** 2
+
+
+def variational_gap(prog, v, q):
+    """max over feasible s of (v - q).(s - q): <= 0 exactly at the projection."""
+    s = lp_argmin(prog, q - v)
+    return float(((v - q) * (s - q)).sum())
+
+
 class TestProjection:
     def test_near_target_points(self):
         # the projection q of v is characterized by (v - q).(s - q) <= 0
         # for every feasible s; the LP finds the s that maximizes it
-        rng = np.random.default_rng(31)
         worst = -np.inf
-        for prog in battery_programs(0.4):
-            for scale in np.repeat([0.01, 0.1, 1.0], 7):
-                v = prog.p + scale * rng.standard_normal(prog.p.shape)
-                q = prog.project(v)
-                assert_feasible(prog, q)
-                s = lp_argmin(prog, q - v)
-                worst = max(worst, float(((v - q) * (s - q)).sum()))
+        for prog, v, _ in near_target_battery():
+            q = prog.project(v)
+            assert_feasible(prog, q)
+            worst = max(worst, variational_gap(prog, v, q))
         assert worst <= 1e-12
 
     def test_large_steps(self):
-        # FISTA steps with a small Lipschitz estimate land far from the set
-        # (zeros in q0 make the gradient's log terms large); rounding in q
-        # then scales with the spread of v within a row
-        rng = np.random.default_rng(32)
-        for prog in battery_programs(0.4):
-            for lip in (1e-6, 1e-3):
-                q0 = prog.project(rng.dirichlet(np.ones(prog.m), size=prog.k))
-                q0[rng.random(q0.shape) < 0.3] = 0.0
-                v = q0 - prog.mi_grad(q0) / lip
-                q = prog.project(v)
-                assert_feasible(prog, q)
-                pc.CondPmf(q)
+        for prog, v, scale in large_step_battery():
+            q = prog.project(v)
+            assert_feasible(prog, q)
+            pc.CondPmf(q)
+            assert variational_gap(prog, v, q) <= 1e-12 * scale
+
+    def test_warm_start_matches_cold(self):
+        # the ball multiplier search starts from the last projection's
+        # multiplier; where it starts must not move the projection
+        rng = np.random.default_rng(33)
+        warmed = 0
+        for battery in (near_target_battery(), large_step_battery()):
+            for prog, v, scale in battery:
+                cold = rs._NeighborhoodProgram(prog.p0, prog.target, prog.delta)
+                warm = rs._NeighborhoodProgram(prog.p0, prog.target, prog.delta)
+                for size in 10.0 ** rng.uniform(-2.0, 4.0, size=3):
+                    warm.project(prog.p + size * rng.standard_normal(prog.p.shape))
+                warmed += warm._mu > 0.0
+                q_cold, q_warm = cold.project(v), warm.project(v)
                 spread = float((v.max(axis=1) - v.min(axis=1)).max())
-                s = lp_argmin(prog, q - v)
-                assert float(((v - q) * (s - q)).sum()) <= 1e-12 * spread**2
+                assert np.abs(q_cold - q_warm).max() <= 1e-15 * max(1.0, spread**2)
+                for q in (q_cold, q_warm):
+                    assert_feasible(prog, q)
+                    assert variational_gap(prog, v, q) <= 1e-12 * scale
+        assert warmed >= 400  # of 460 points, most start away from mu = 0
+
+    def test_prox_calls_per_projection(self, monkeypatch):
+        # criterion 03/05's battery: 9 radii on [0, delta*] per instance;
+        # the bracketed secant search took 6.7 prox calls per projection
+        calls = {"prox": 0, "project": 0}
+        prox, project = rs._NeighborhoodProgram._prox_rows, rs._NeighborhoodProgram.project
+
+        def spy_prox(self, v, c):
+            calls["prox"] += 1
+            return prox(self, v, c)
+
+        def spy_project(self, v):
+            calls["project"] += 1
+            return project(self, v)
+
+        monkeypatch.setattr(rs._NeighborhoodProgram, "_prox_rows", spy_prox)
+        monkeypatch.setattr(rs._NeighborhoodProgram, "project", spy_project)
+        for p0, tgt in random_two_node_instances(20, seed=424242):
+            for d in np.linspace(0.0, rs.delta_star(p0, tgt), 9):
+                rs.solve_two_node(p0, tgt, float(d))
+        assert calls["project"] > 1000
+        assert calls["prox"] <= 3.5 * calls["project"]
 
 
 class TestLinearMin:
