@@ -107,7 +107,7 @@ def _rate_grid(rates: dict, key: str, errors) -> tuple:
     out = []
     for i, v in enumerate(grid):
         ok = isinstance(v, (int, float)) and not isinstance(v, bool)
-        if not ok or not 0 <= v < math.inf:
+        if not ok or not 0 <= v <= sys.float_info.max:  # ints past it overflow float
             errors.append(f"rates.{key}_grid[{i}]: rates are finite numbers >= 0")
             return ()
         out.append(float(v))
@@ -136,6 +136,30 @@ def _number_grid(doc: dict, key: str, errors, integer=False, lo=0.0, hi=math.inf
         errors.append(f"{key}: grid must be sorted ascending")
         return ()
     return tuple(out)
+
+
+def _section(doc: dict, key: str, fields, errors) -> dict:
+    """The spec's ``key`` object ({} when absent), with its unknown fields
+    reported; one of another type is reported and read as {}."""
+    raw = doc.get(key, {})
+    if not isinstance(raw, dict):
+        errors.append(f"{key}: expected an object")
+        return {}
+    for name in sorted(set(raw) - set(fields)):
+        errors.append(f"{key}.{name}: unknown field")
+    return raw
+
+
+def _int_field(raw: dict, path: str, lo: int, errors) -> Optional[int]:
+    """The integer >= lo at the last key of ``path`` in raw, None when absent."""
+    key = path.rpartition(".")[2]
+    if key not in raw:
+        return None
+    v = raw[key]
+    if not isinstance(v, int) or isinstance(v, bool) or v < lo:
+        errors.append(f"{path}: expected an integer >= {lo}")
+        return None
+    return v
 
 
 def parse_problem_spec(doc) -> ProblemSpec:
@@ -176,7 +200,7 @@ def parse_problem_spec(doc) -> ProblemSpec:
         if "x" in sizes and len(raw) != sizes["x"]:
             raise ValueError(f"expected {sizes['x']} entries, got {len(raw)}")
         source = pc.Pmf(raw)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         errors.append(f"source: {exc}")
 
     target = None
@@ -186,82 +210,38 @@ def parse_problem_spec(doc) -> ProblemSpec:
         if len(want) == len(needed) and raw.shape != want:
             raise ValueError(f"expected shape {want}, got {raw.shape}")
         target = pc.CondPmf(raw)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         errors.append(f"target: {exc}")
 
     # TV never exceeds 1, so a larger radius is a typo, not a clamp
     delta_grid = _number_grid(doc, "delta_grid", errors, lo=0, hi=1)
     n_grid = _number_grid(doc, "n_grid", errors, integer=True, lo=1)
 
-    rates = doc.get("rates", {})
-    r1_grid, r2_grid = (), ()
-    if not isinstance(rates, dict):
-        errors.append("rates: expected an object")
-    else:
-        for key in sorted(set(rates) - {"R1", "R1_grid", "R2", "R2_grid"}):
-            errors.append(f"rates.{key}: unknown field")
-        r1_grid = _rate_grid(rates, "R1", errors)
-        r2_grid = _rate_grid(rates, "R2", errors)
-        if r2_grid and network != "cascade":
-            errors.append("rates.R2: only cascade networks carry a second rate")
+    rates = _section(doc, "rates", ("R1", "R1_grid", "R2", "R2_grid"), errors)
+    r1_grid = _rate_grid(rates, "R1", errors)
+    r2_grid = _rate_grid(rates, "R2", errors)
+    if r2_grid and network != "cascade":
+        errors.append("rates.R2: only cascade networks carry a second rate")
 
     solver = rs.SolverConfig()
-    raw = doc.get("solver", {})
-    if not isinstance(raw, dict):
-        errors.append("solver: expected an object")
-    else:
-        for key in sorted(set(raw) - _SOLVER_KEYS):
-            errors.append(f"solver.{key}: unknown field")
-        try:
-            solver = rs.SolverConfig(**{k: raw[k] for k in _SOLVER_KEYS if k in raw})
-        except (ValueError, TypeError) as exc:
-            errors.append(f"solver: {exc}")
+    raw = _section(doc, "solver", _SOLVER_KEYS, errors)
+    try:
+        solver = rs.SolverConfig(**{k: raw[k] for k in _SOLVER_KEYS if k in raw})
+    except (ValueError, TypeError) as exc:
+        errors.append(f"solver: {exc}")
 
-    mc_samples = mc_seed = None
-    raw = doc.get("monte_carlo", {})
-    if not isinstance(raw, dict):
-        errors.append("monte_carlo: expected an object")
-    else:
-        for key in sorted(set(raw) - {"samples", "seed"}):
-            errors.append(f"monte_carlo.{key}: unknown field")
-        if "samples" in raw:
-            v = raw["samples"]
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                errors.append("monte_carlo.samples: expected an integer >= 1")
-            else:
-                mc_samples = v
-        if "seed" in raw:
-            v = raw["seed"]
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                errors.append("monte_carlo.seed: expected an integer >= 0")
-            else:
-                mc_seed = v
-
-    oracle_budget = None
-    raw = doc.get("oracle", {})
-    if not isinstance(raw, dict):
-        errors.append("oracle: expected an object")
-    else:
-        for key in sorted(set(raw) - {"budget"}):
-            errors.append(f"oracle.{key}: unknown field")
-        if "budget" in raw:
-            v = raw["budget"]
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                errors.append("oracle.budget: expected an integer >= 0")
-            else:
-                oracle_budget = v
+    raw = _section(doc, "monte_carlo", ("samples", "seed"), errors)
+    mc_samples = _int_field(raw, "monte_carlo.samples", 1, errors)
+    mc_seed = _int_field(raw, "monte_carlo.seed", 0, errors)
+    raw = _section(doc, "oracle", ("budget",), errors)
+    oracle_budget = _int_field(raw, "oracle.budget", 0, errors)
 
     output_dir = None
-    raw = doc.get("output", {})
-    if not isinstance(raw, dict):
-        errors.append("output: expected an object")
+    raw = _section(doc, "output", ("dir",), errors)
+    if "dir" in raw and not isinstance(raw["dir"], str):
+        errors.append("output.dir: expected a string")
     else:
-        for key in sorted(set(raw) - {"dir"}):
-            errors.append(f"output.{key}: unknown field")
-        if "dir" in raw and not isinstance(raw["dir"], str):
-            errors.append("output.dir: expected a string")
-        else:
-            output_dir = raw.get("dir")
+        output_dir = raw.get("dir")
 
     if errors:
         raise SpecError(errors)

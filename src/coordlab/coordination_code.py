@@ -976,7 +976,9 @@ def build_codebook_code(
     target; the encoder (computed on demand) picks the message minimizing
     the TV between the realized joint type and the composed target. Cascade
     codes recode greedily: the z-message for y-message i minimizes the TV of
-    the (y^n(i), z^n(j)) type to the (Y, Z) marginal of the target.
+    the (y^n(i), z^n(j)) type to the (Y, Z) marginal of the target, lowest
+    index on ties: the symbol-row min-TV encoder of the code from Y over the
+    z-codebook, run on the y-codewords.
     """
     joint = compose(p0, q_target)
     cascade = joint.mass.ndim == 3
@@ -1019,12 +1021,14 @@ def build_codebook_code(
     z_marg = joint.mass.sum(axis=(0, 1))
     symbols_z = _draw_symbols(np.random.default_rng(child_z), z_marg, m2, n)
     symbols_z = symbols_z.astype(np.int64, copy=False)
-    yz_target = joint.mass.sum(axis=0).ravel()
-    recoder = np.empty(m1, dtype=np.int64)
-    for i in range(m1):
-        jc = symbols[i][None, :] * z_size + symbols_z
-        counts = _type_counts(jc, y_size * z_size)
-        recoder[i] = int(_tv_rows(counts, n, yz_target).argmin())
+    recode = CodebookCode(
+        n=n,
+        x_size=y_size,
+        y_size=z_size,
+        rate1=rate2,
+        target=JointPmf(joint.mass.sum(axis=0)),
+        symbols_y=symbols_z,
+    )
     return CodebookCode(
         n=n,
         x_size=x_size,
@@ -1035,7 +1039,7 @@ def build_codebook_code(
         rate2=rate2,
         z_size=z_size,
         symbols_z=symbols_z,
-        recoder=recoder,
+        recoder=recode.encode(symbols),
     )
 
 

@@ -298,13 +298,6 @@ def _all_blocks(size: int, n: int) -> np.ndarray:
     return np.indices((size,) * n).reshape(n, size**n).T.copy()
 
 
-def _guard_message(space: int, guard: int) -> str:
-    return (
-        f"search space {space} exceeds guard {guard} (the guard argument, "
-        f"default DEFAULT_CODE_GUARD {DEFAULT_CODE_GUARD})"
-    )
-
-
 def _best_codeword_set(
     d: np.ndarray, probs: np.ndarray, k: int
 ) -> tuple[float, Optional[tuple]]:
@@ -349,69 +342,31 @@ def exhaustive_best_code(
     The encoder never needs enumeration: inputs decouple, so for a fixed
     decoder table the optimal encoder picks the per-input closest codeword.
     Adding codewords never hurts, so only maximal codeword sets are tried.
+    The search is the cascade's: for each z-codeword set, the best set of
+    (y-codeword, z-message) pairs. A two-node target is the cascade with one
+    z symbol and one z message, and gets its code back as a two-node table.
     """
     start = time.perf_counter()
     cascade = target.mass.ndim == 3
     if cascade != (rate2 is not None):
         raise ValueError("rate2 required iff the target has three axes")
-    sizes = target.mass.shape
+    sizes = target.mass.shape if cascade else target.mass.shape + (1,)
     x_size = sizes[0]
     if p0.alphabet_size != x_size:
         raise ValueError("source and target sizes do not match")
     x_blocks = _all_blocks(x_size, n)
     probs = p0.mass[x_blocks].prod(axis=1)
-    m1 = message_count(n, rate1)
-    if cascade:
-        return _exhaustive_cascade(
-            p0, target, n, rate1, rate2, guard, x_blocks, probs, start
-        )
-    u = sizes[1] ** n
-    eff = min(m1, u)
-    space = math.comb(u, eff)
-    if space > guard:
-        raise ValueError(_guard_message(space, guard))
-    y_blocks = _all_blocks(sizes[1], n)
-    # d[i, y]: TV of the pair type to the target
-    jc = x_blocks[:, None, :] * sizes[1] + y_blocks[None, :, :]
-    counts = _type_counts(jc.reshape(-1, n), target.mass.size)
-    d = _tv_rows(counts, n, target.mass.ravel()).reshape(x_blocks.shape[0], u)
-    best_val, best_set = _best_codeword_set(d, probs, eff)
-    enc = np.argmin(d[:, best_set], axis=1)
-    dec = y_blocks[list(best_set)]
-    if m1 > eff:  # pad unused messages so the table honors the nominal rate
-        dec = np.vstack([dec, np.repeat(dec[-1][None, :], m1 - eff, axis=0)])
-    code = TableCode(
-        n=n,
-        x_size=x_size,
-        y_size=sizes[1],
-        rate1=rate1,
-        encoder=enc,
-        decoder_mid=dec,
-    )
-    return OracleReport(
-        instance={
-            "p0": p0.mass.tolist(),
-            "target": target.mass.tolist(),
-            "n": n,
-            "rate1": rate1,
-        },
-        optimum=best_val,
-        optimizer=code,
-        search_space_size=space,
-        wall_time=time.perf_counter() - start,
-        details={"codeword_universe": u, "codebook_size": eff},
-    )
-
-
-def _exhaustive_cascade(p0, target, n, rate1, rate2, guard, x_blocks, probs, start):
-    sizes = target.mass.shape
     uy, uz = sizes[1] ** n, sizes[2] ** n
-    m1, m2 = message_count(n, rate1), message_count(n, rate2)
+    m1 = message_count(n, rate1)
+    m2 = message_count(n, rate2) if cascade else 1
     e2 = min(m2, uz)
     e1 = min(m1, uy * e2)
     space = math.comb(uz, e2) * math.comb(uy * e2, e1)
     if space > guard:
-        raise ValueError(_guard_message(space, guard))
+        raise ValueError(
+            f"search space {space} exceeds guard {guard} (the guard argument, "
+            f"default DEFAULT_CODE_GUARD {DEFAULT_CODE_GUARD})"
+        )
     y_blocks = _all_blocks(sizes[1], n)
     z_blocks = _all_blocks(sizes[2], n)
     # d3[i, y, z]: TV of the triple type to the target
@@ -422,46 +377,38 @@ def _exhaustive_cascade(p0, target, n, rate1, rate2, guard, x_blocks, probs, sta
     )
     counts = _type_counts(jc.reshape(-1, n), target.mass.size)
     d3 = _tv_rows(counts, n, target.mass.ravel()).reshape(nx, uy, uz)
-    best = (np.inf, None, None)
+    best = (np.inf, None, None, None)
     for z_combo in itertools.combinations(range(uz), e2):
         dp = d3[:, :, list(z_combo)].reshape(nx, -1)
         val, p_combo = _best_codeword_set(dp, probs, e1)
         if val < best[0]:
-            best = (val, z_combo, p_combo)
-    val, z_combo, p_combo = best
+            best = (val, z_combo, p_combo, dp)
+    val, z_combo, p_combo, dp = best
     pairs = [(y, zi) for y in range(uy) for zi in range(e2)]
     chosen = [pairs[i] for i in p_combo]
-    dp = d3[:, :, list(z_combo)].reshape(nx, -1)
     enc = np.argmin(dp[:, p_combo], axis=1)
     dec_y = y_blocks[[y for y, _ in chosen]]
     rec = np.array([zi for _, zi in chosen], dtype=np.int64)
     dec_z = z_blocks[list(z_combo)]
-    e1 = len(chosen)
+    # pad unused messages so the tables honor the nominal rates
     if m1 > e1:
         dec_y = np.vstack([dec_y, np.repeat(dec_y[-1][None, :], m1 - e1, axis=0)])
         rec = np.concatenate([rec, np.repeat(rec[-1], m1 - e1)])
     if m2 > e2:
         dec_z = np.vstack([dec_z, np.repeat(dec_z[-1][None, :], m2 - e2, axis=0)])
-    code = TableCode(
-        n=n,
-        x_size=sizes[0],
-        y_size=sizes[1],
-        rate1=rate1,
-        encoder=enc,
-        decoder_mid=dec_y,
-        rate2=rate2,
-        z_size=sizes[2],
-        recoder=rec,
-        decoder_end=dec_z,
-    )
+    tables = dict(encoder=enc, decoder_mid=dec_y)
+    instance = {
+        "p0": p0.mass.tolist(),
+        "target": target.mass.tolist(),
+        "n": n,
+        "rate1": rate1,
+    }
+    if cascade:
+        tables.update(rate2=rate2, z_size=sizes[2], recoder=rec, decoder_end=dec_z)
+        instance["rate2"] = rate2
+    code = TableCode(n=n, x_size=x_size, y_size=sizes[1], rate1=rate1, **tables)
     return OracleReport(
-        instance={
-            "p0": p0.mass.tolist(),
-            "target": target.mass.tolist(),
-            "n": n,
-            "rate1": rate1,
-            "rate2": rate2,
-        },
+        instance=instance,
         optimum=val,
         optimizer=code,
         search_space_size=space,

@@ -340,7 +340,7 @@ def expected_type_bruteforce(p_seq: np.ndarray):
     if any(s != a for s in p.shape):
         raise ValueError(f"expected_type_bruteforce: mixed alphabets {p.shape}")
     if a**n > _BRUTE_FORCE_GUARD:
-        raise ValueError(f"expected_type_bruteforce: {a}^{n} sequences exceed guard")
+        raise ValueError(f"{a}^{n} sequences exceed _BRUTE_FORCE_GUARD {_BRUTE_FORCE_GUARD}")
     exact = p.dtype == object
     zero = Fraction(0) if exact else 0.0
     out = [zero] * a

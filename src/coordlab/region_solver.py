@@ -16,6 +16,8 @@ past the zero-rate threshold delta*) are returned from closed forms with
 zero gap; delta* itself is a separable piecewise-linear minimization
 solved by a greedy fill. The cascade sweep solves its weights from last
 to first, from lam = 1 down, each warm-started from the last argmin.
+Both networks share the endpoints, the start and the feasibility check;
+the cascade's I(X;Z) is I(X;Yhat) of the rows summed over y.
 """
 
 from __future__ import annotations
@@ -60,9 +62,10 @@ class SolverConfig:
             lams = ()
         if not lams or not all(_real(v) for v in lams):
             raise ValueError("scalarization_weights must be a non-empty list of numbers")
-        lams = tuple(float(v) for v in lams)
+        # compared before the float conversion, which overflows on huge ints
         if any(not 0.0 <= v <= 1.0 for v in lams):
             raise ValueError(f"scalarization weights outside [0, 1]: {lams}")
+        lams = tuple(float(v) for v in lams)
         object.__setattr__(self, "scalarization_weights", lams)
 
 
@@ -344,10 +347,26 @@ def _delta_star_full(p0: Pmf, target: CondPmf):
     return 0.5 * float((w[:, None] * np.abs(p - r)).sum()), r
 
 
-def _restore_rows(prog, q: np.ndarray, target: CondPmf) -> CondPmf:
-    full = _flat_rows(target).copy()
+def _start(prog: _NeighborhoodProgram):
+    """(rows, closed): the closed-form argmin at delta = 0 and delta >=
+    delta*, or else FISTA's start, on the way from the target to delta*."""
+    if prog.delta == 0.0:
+        return prog.p.copy(), True
+    ds, r_star = _delta_star_full(prog.p0, prog.target)
+    if prog.delta >= ds - 1e-12:
+        return np.tile(r_star, (prog.k, 1)), True
+    return prog.p + (prog.delta / ds) * (r_star - prog.p), False
+
+
+def _restore_rows(prog: _NeighborhoodProgram, q: np.ndarray) -> CondPmf:
+    """Full conditional from support rows, checked to lie in the neighborhood."""
+    full = _flat_rows(prog.target).copy()
     full[prog.support] = q
-    return CondPmf(full.reshape(target.rows.shape))
+    cond = CondPmf(full.reshape(prog.target.rows.shape))
+    composed = compose(prog.p0, cond)
+    if not in_delta_neighborhood(composed, compose(prog.p0, prog.target), prog.delta):
+        raise RuntimeError("solver returned an infeasible conditional")
+    return cond
 
 
 def solve_two_node(
@@ -358,47 +377,18 @@ def solve_two_node(
     if target.rows.ndim != 2:
         raise ValueError("two-node target must have a single output axis")
     prog = _NeighborhoodProgram(p0, target, delta)
-
-    if delta == 0.0:
-        q = prog.p.copy()
+    q, closed = _start(prog)
+    if closed:
         point_value, gap = prog.mi(q), 0.0
     else:
-        ds, r_star = _delta_star_full(p0, target)
-        if delta >= ds - 1e-12:
-            q = np.tile(r_star, (prog.k, 1))
-            point_value, gap = prog.mi(q), 0.0
-        else:
-            q0 = prog.p + (delta / ds) * (r_star - prog.p)
-            q, point_value, gap = _fista(prog, prog.mi, prog.mi_grad, q0, config)
-    cond = _restore_rows(prog, q, target)
-    if not in_delta_neighborhood(compose(p0, cond), compose(p0, target), delta):
-        raise RuntimeError("solver returned an infeasible conditional")
+        q, point_value, gap = _fista(prog, prog.mi, prog.mi_grad, q, config)
     return RegionPoint(
         R1=point_value,
         delta=delta,
-        argmin_conditional=cond,
+        argmin_conditional=_restore_rows(prog, q),
         certificate=gap,
         provenance="solver",
     )
-
-
-def _cascade_objectives(prog, y_size: int, z_size: int):
-    """Value/gradient factories for I(X; YZ) and I(X; Z) on flattened rows."""
-
-    def mi_z(q):
-        qz = q.reshape(prog.k, y_size, z_size).sum(axis=1)
-        joint = prog.w[:, None] * qz
-        marg = joint.sum(axis=0)
-        return float(rel_entr(joint, np.outer(prog.w, marg)).sum() / LN2)
-
-    def mi_z_grad(q):
-        qz = q.reshape(prog.k, y_size, z_size).sum(axis=1)
-        marg = (prog.w[:, None] * qz).sum(axis=0)
-        ratio = np.maximum(qz, _TINY) / np.maximum(marg, _TINY)[None, :]
-        gz = prog.w[:, None] * (np.log(ratio) / LN2)
-        return np.repeat(gz[:, None, :], y_size, axis=1).reshape(prog.k, -1)
-
-    return mi_z, mi_z_grad
 
 
 def solve_cascade(
@@ -412,31 +402,30 @@ def solve_cascade(
     delta = _sanitize_delta(delta)
     if target.rows.ndim != 3:
         raise ValueError("cascade target needs two output axes")
-    y_size, z_size = target.rows.shape[1], target.rows.shape[2]
+    y_size = target.rows.shape[1]
     prog = _NeighborhoodProgram(p0, target, delta)
-    mi_z, mi_z_grad = _cascade_objectives(prog, y_size, z_size)
+
+    def mi_z(q):
+        return prog.mi(q.reshape(prog.k, y_size, -1).sum(axis=1))
+
+    def mi_z_grad(q):
+        g = prog.mi_grad(q.reshape(prog.k, y_size, -1).sum(axis=1))
+        return np.repeat(g[:, None, :], y_size, axis=1).reshape(prog.k, -1)
 
     def point_for(q, gap, lam):
-        cond = _restore_rows(prog, q, target)
-        if not in_delta_neighborhood(compose(p0, cond), compose(p0, target), delta):
-            raise RuntimeError("solver returned an infeasible conditional")
         return RegionPoint(
             R1=prog.mi(q),
             R2=mi_z(q),
             delta=delta,
-            argmin_conditional=cond,
+            argmin_conditional=_restore_rows(prog, q),
             certificate=gap,
             provenance="solver",
             lam=lam,
         )
 
-    if delta == 0.0:
-        return [point_for(prog.p.copy(), 0.0, None)]
-    ds, r_star = _delta_star_full(p0, target)
-    if delta >= ds - 1e-12:
-        return [point_for(np.tile(r_star, (prog.k, 1)), 0.0, None)]
-
-    q = prog.p + (delta / ds) * (r_star - prog.p)
+    q, closed = _start(prog)
+    if closed:
+        return [point_for(q, 0.0, None)]
     points = []
     # Each weight starts from the previous weight's argmin, beginning at
     # lam = 1 (a start only, lam None, unless it is the first weight): then

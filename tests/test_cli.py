@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -6,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coordlab import cli
 from coordlab import coordination_code as cc
@@ -81,6 +84,38 @@ class TestSpecParsing:
                 cli.parse_problem_spec(base_spec(solver=solver))
             assert exc.value.messages == [f"solver: {message}"]
 
+    def test_section_messages_exact(self):
+        # every sub-object goes through the same checks, in spec order
+        doc = base_spec(
+            rates=5,
+            solver="x",
+            monte_carlo={"samples": 0, "seed": -1, "z": 1},
+            oracle={"budget": 2.5},
+            output={"x": 1, "dir": None},
+        )
+        with pytest.raises(cli.SpecError) as exc:
+            cli.parse_problem_spec(doc)
+        assert exc.value.messages == [
+            "rates: expected an object",
+            "solver: expected an object",
+            "monte_carlo.z: unknown field",
+            "monte_carlo.samples: expected an integer >= 1",
+            "monte_carlo.seed: expected an integer >= 0",
+            "oracle.budget: expected an integer >= 0",
+            "output.x: unknown field",
+            "output.dir: expected a string",
+        ]
+        for fields, message in (
+            ({"monte_carlo": [400]}, "monte_carlo: expected an object"),
+            ({"monte_carlo": {"seed": True}}, "monte_carlo.seed: expected an integer >= 0"),
+            ({"oracle": {"budget": -1}}, "oracle.budget: expected an integer >= 0"),
+            ({"output": {"dir": None}}, "output.dir: expected a string"),
+            ({"output": None}, "output: expected an object"),
+        ):
+            with pytest.raises(cli.SpecError) as exc:
+                cli.parse_problem_spec(base_spec(**fields))
+            assert exc.value.messages == [message]
+
     def test_both_rate_forms_rejected(self):
         doc = base_spec(rates={"R1": 0.5, "R1_grid": [0.5]})
         with pytest.raises(cli.SpecError, match="R1"):
@@ -145,6 +180,15 @@ NON_FINITE = {
         {"solver": {"max_iterations": math.nan}},
         "solver: max_iterations",
     ),
+    # integers past the float range overflow float(); json.load reads them
+    "source-huge-int": ("region", {"source": [10**400, 0.5]}, "source:"),
+    "target-huge-int": ("region", {"target": [[10**400, 0.0], [0.0, 1.0]]}, "target:"),
+    "r1-grid-huge-int": ("simulate", {"rates": {"R1_grid": [10**400]}}, "rates.R1_grid[0]"),
+    "weights-huge-int": (
+        "region",
+        {"solver": {"scalarization_weights": [0.5, 10**400]}},
+        "solver: scalarization weights outside [0, 1]",
+    ),
 }
 
 
@@ -172,6 +216,73 @@ def test_delta_above_one_rejected(tmp_path, capsys, command):
     assert not out.exists()
     doc = base_spec(delta_grid=[0.0, 1.0])  # 1 itself is a radius
     assert cli.parse_problem_spec(doc).delta_grid == (0.0, 1.0)
+
+
+SPEC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "specs")
+
+
+def shipped_specs():
+    docs = {}
+    for name in sorted(os.listdir(SPEC_DIR)):
+        with open(os.path.join(SPEC_DIR, name), encoding="utf-8") as fh:
+            docs[name] = json.load(fh)
+    return docs
+
+
+def leaf_paths(node, path=()):
+    """Key paths of every scalar in a JSON document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaf_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+SHIPPED = shipped_specs()
+# what a malformed spec can carry: ints past the float range, non-finite
+# floats (json.load accepts NaN and Infinity), short strings and nesting
+JUNK_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1.5, -0.0, 2**63, 10**400]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+)
+JUNK = st.recursive(
+    JUNK_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    ),
+    max_leaves=4,
+)
+BLOCKS = ["solver", "monte_carlo", "oracle", "output", "rates", "alphabets"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_specs_parse_or_raise_spec_error(data):
+    # parsing only: no command runs, whatever sizes a mutation asks for
+    doc = copy.deepcopy(SHIPPED[data.draw(st.sampled_from(sorted(SHIPPED)))])
+    paths = list(leaf_paths(doc))
+    for _ in range(data.draw(st.integers(1, 3))):
+        *parents, last = data.draw(st.sampled_from(paths))
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = data.draw(JUNK)
+    if data.draw(st.booleans()):
+        doc[data.draw(st.sampled_from(BLOCKS))] = data.draw(JUNK)
+    try:
+        spec = cli.parse_problem_spec(doc)
+    except cli.SpecError as exc:
+        assert exc.messages
+    else:
+        assert isinstance(spec, cli.ProblemSpec)
 
 
 class TestRegionCommand:

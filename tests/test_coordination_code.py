@@ -295,6 +295,32 @@ class TestCodebookConstruction:
         assert len(y) == 4 and len(z) == 4
         assert code.rate2 == 0.6
 
+    @pytest.mark.parametrize("y_size, z_size", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_recoder_matches_loop(self, y_size, z_size):
+        # the uniform target makes every z-codeword of a composition tie
+        rng = np.random.default_rng(10 * y_size + z_size)
+        shape = (2, y_size, z_size)
+        uniform = np.full(shape, 1 / (y_size * z_size))
+        random = rng.dirichlet(np.ones(y_size * z_size), size=2).reshape(shape)
+        for rows in (uniform, random):
+            for n, r1, r2 in ((5, 0.8, 0.6), (6, 1.0, 0.0), (7, 0.9, 0.7)):
+                code = cc.build_codebook_code(
+                    pc.Pmf([0.6, 0.4]), pc.CondPmf(rows), n, r1, r2, seed=n
+                )
+                assert code.recoder.tolist() == loop_recoder(code).tolist()
+
+
+def loop_recoder(code):
+    """Reference: per y-message, the first z-message of least TV between the
+    (y, z) codeword pair type and the (Y, Z) marginal of the target."""
+    yz_target = code.target.mass.sum(axis=0).ravel()
+    recoder = np.empty(code.m1, dtype=np.int64)
+    for i in range(code.m1):
+        jc = code.symbols_y[i][None, :] * code.z_size + code.symbols_z
+        counts = cc._type_counts(jc, code.y_size * code.z_size)
+        recoder[i] = int(cc._tv_rows(counts, code.n, yz_target).argmin())
+    return recoder
+
 
 def brute_force_encode(code, x_batch):
     """First minimum of the joint-type TV over every codeword.

@@ -252,6 +252,23 @@ def ternary_action_pair():
     return p0, pc.compose(p0, pc.CondPmf(rng.dirichlet(np.ones(3), size=2)))
 
 
+TWO_NODE_PAIRS = [
+    ("identity", 4, 16),   # uniform identity: heavy exact ties
+    ("identity", 5, 4),
+    ("battery", 4, 16),    # a criterion-10 scan pair
+    ("ternary", 2, 9),     # ternary actions
+    ("ternary", 3, 3),
+]
+
+
+def two_node_pair(name):
+    return {
+        "identity": lambda: (pc.Pmf([0.5, 0.5]), pc.JointPmf(np.eye(2) / 2)),
+        "battery": battery_pair,
+        "ternary": ternary_action_pair,
+    }[name]()
+
+
 def symmetric_cascade():
     mass = np.zeros((2, 2, 2))
     mass[0, 0, 0] = mass[1, 1, 1] = 0.5
@@ -323,24 +340,26 @@ class TestBatchedSearchMatchesLoop:
                 rep.optimizer.decoder_mid.tolist() == ref.optimizer.decoder_mid.tolist()
             )
 
-    @pytest.mark.parametrize(
-        "pair, n, m1_max",
-        [
-            ("identity", 4, 16),   # uniform identity: heavy exact ties
-            ("identity", 5, 4),
-            ("battery", 4, 16),    # a criterion-10 scan pair
-            ("ternary", 2, 9),     # ternary actions
-            ("ternary", 3, 3),
-        ],
-    )
+    @pytest.mark.parametrize("pair, n, m1_max", TWO_NODE_PAIRS)
     def test_two_node(self, monkeypatch, pair, n, m1_max):
-        p0, joint = {
-            "identity": lambda: (pc.Pmf([0.5, 0.5]), pc.JointPmf(np.eye(2) / 2)),
-            "battery": battery_pair,
-            "ternary": ternary_action_pair,
-        }[pair]()
+        p0, joint = two_node_pair(pair)
         for m1 in range(1, m1_max + 1):
             self.check(monkeypatch, p0, joint, n, math.log2(m1) / n)
+
+    @pytest.mark.parametrize("pair, n, m1_max", TWO_NODE_PAIRS)
+    def test_two_node_is_one_z_symbol_cascade(self, pair, n, m1_max):
+        p0, joint = two_node_pair(pair)
+        one_z = pc.JointPmf(joint.mass[..., None])
+        for m1 in range(1, m1_max + 1):
+            rate = math.log2(m1) / n
+            rep = orc.exhaustive_best_code(p0, joint, n, rate)
+            cas = orc.exhaustive_best_code(p0, one_z, n, rate, rate2=0.0)
+            assert rep.optimum.hex() == cas.optimum.hex()
+            assert rep.optimizer.encoder.tolist() == cas.optimizer.encoder.tolist()
+            assert (
+                rep.optimizer.decoder_mid.tolist() == cas.optimizer.decoder_mid.tolist()
+            )
+            assert not rep.optimizer.is_cascade and "rate2" not in rep.instance
 
     @pytest.mark.parametrize("make", [symmetric_cascade, uniform_cascade, random_cascade])
     @pytest.mark.parametrize(

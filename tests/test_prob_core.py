@@ -208,6 +208,13 @@ class TestExpectedType:
             avg = sum(pc.coordinate_marginals(flat)) / 2
             assert all(brute[i] == avg[i] for i in range(3))
 
+    def test_bruteforce_guard_named(self):
+        # refused by the guard before any sequence is enumerated
+        with pytest.raises(
+            ValueError, match=r"^2\^17 sequences exceed _BRUTE_FORCE_GUARD 100000$"
+        ):
+            pc.expected_type_bruteforce(np.full((2,) * 17, 2.0**-17))
+
 
 class TestTypeRecord:
     def test_count_sum_enforced(self):
