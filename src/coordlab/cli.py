@@ -263,14 +263,20 @@ def parse_problem_spec(doc) -> ProblemSpec:
 
 def load_problem_spec(path: str) -> ProblemSpec:
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            doc = json.loads(fh.read().decode("utf-8"))
     except OSError as exc:
         raise SpecError([f"spec: cannot read {path}: {exc.strerror or exc}"])
+    except UnicodeDecodeError as exc:
+        raise SpecError([f"spec: not UTF-8 at byte {exc.start}: {exc.reason}"])
     except json.JSONDecodeError as exc:
         raise SpecError(
             [f"spec: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         )
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise SpecError([f"spec: {str(exc).partition(';')[0]}"])
+    except RecursionError:
+        raise SpecError(["spec: arrays or objects nested too deeply"])
     return parse_problem_spec(doc)
 
 

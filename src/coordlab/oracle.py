@@ -13,12 +13,17 @@ constructor.
 Both searches are exact, and their outputs do not depend on how the work
 is batched:
 
-- The code search scores codeword sets in blocks of
-  ``itertools.combinations`` rows (lexicographic order). Each set's value
-  is the same float expression, the 1-D dot of the source-block
-  probabilities with the columnwise minimum (``np.vecdot`` over
-  C-contiguous rows runs the loop ``probs @ v`` does), and the reported
-  set is the lexicographically first minimiser.
+- The code search visits codeword sets in colex levels (by largest
+  column first), so each set's columnwise minimum is one ``np.minimum`` of
+  its prefix's minimum with the new column; the minimum is exact, so the
+  order it is taken in changes no bit. Each set's value is the same float
+  expression, the 1-D dot of the source-block probabilities with the
+  columnwise minimum (``np.vecdot`` over C-contiguous rows runs the loop
+  ``probs @ v`` does). Ties are broken lexicographically within and
+  across blocks, so the reported set is the lexicographically first
+  minimiser. A search whose levels would exceed ``_SEARCH_FLOATS`` floats
+  is split on its smallest column, in increasing order, which keeps
+  memory bounded.
 - The grid drops, row by row, every candidate whose own TV cost already
   exceeds ``delta + TV_SLACK``. A float sum of nonnegative terms is at
   least each term, so no cell holding one could pass the feasibility test.
@@ -66,7 +71,7 @@ _FREE_PARAM_GUARD = 3
 _GRID_CELL_CAP = 20_000_000   # combos or candidate rows beyond this refuse to run
 _TILE_CELLS = 1024        # grid cells per tile
 _BOUND_SLACK = 1e-9       # covers rounding in a tile bound; values are O(1) bits
-_COMBO_BLOCK = 1 << 12    # codeword sets scored per batch
+_SEARCH_FLOATS = 1 << 17  # floats in one level or one block of the code search
 DEFAULT_CODE_GUARD = 10_000_000
 
 
@@ -303,30 +308,93 @@ def _best_codeword_set(
 ) -> tuple[float, Optional[tuple]]:
     """Lexicographically first k-column set minimizing probs @ min(d[:, set]).
 
-    Sets come from ``itertools.combinations`` in blocks of ``_COMBO_BLOCK``
-    rows. A block gathers rows of the C-contiguous ``d.T``, reduces them
-    with ``np.minimum`` and scores every row with ``np.vecdot``, the same
-    1-D dot loop as ``probs @ v``, so each value has the bits of the
-    per-set expression. The first minimum inside a block and a strict
-    ``<`` across blocks keep the lexicographically first minimiser.
+    Sets are visited in colex order (by largest column first), so the
+    min-vector of each set is one ``np.minimum`` of its prefix's min-vector
+    with the new column. Level j holds the min-vectors of the j-column
+    prefixes that can still be completed, grouped by largest column, so the
+    prefixes below a column are a leading slice of their level. The largest
+    column is broadcast against the prefixes of the second largest in
+    blocks of at most ``_SEARCH_FLOATS`` floats, and every row is scored
+    with ``np.vecdot``, the same 1-D dot loop as ``probs @ v``
+    (``np.minimum`` is exact), so each value has the bits of the per-set
+    expression. Colex order is not lexicographic, so among the sets equal
+    to a block's minimum the lexicographically smallest is taken (by each
+    prefix's lexicographic rank, then the largest column) and compared,
+    with its value, across blocks. A search whose largest level would
+    exceed ``_SEARCH_FLOATS`` floats is split on its smallest column f, in
+    increasing f: the sets holding f as smallest column are the sets of
+    the columns above f, each min-ed with column f. A strict ``<`` across
+    the splits keeps the first minimiser.
     """
     cols = np.ascontiguousarray(d.T)
-    combos = itertools.combinations(range(cols.shape[0]), k)
-    best_val, best_set = np.inf, None
-    while True:
-        block = np.fromiter(
-            itertools.islice(combos, _COMBO_BLOCK), dtype=(np.intp, k)
-        )
-        if block.shape[0] == 0:
-            return best_val, best_set
-        low = cols[block[:, 0]]
-        for j in range(1, k):
-            np.minimum(low, cols[block[:, j]], out=low)
-        vals = np.vecdot(low, probs)
+    if k == 1:
+        vals = np.vecdot(cols, probs)
         i = int(vals.argmin())
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best_set = tuple(block[i].tolist())
+        return float(vals[i]), (i,)
+    return _colex_search(cols, probs, k, np.full(cols.shape[1], np.inf), ())
+
+
+def _colex_search(cols, probs, k, seed, head):
+    """``_best_codeword_set`` for k >= 2 over the rows of ``cols``.
+
+    Every min-vector is also min-ed with ``seed``. The set comes back with
+    ``head`` before it and numbered from ``head[-1] + 1`` (or 0), the
+    position of ``cols[0]`` in the caller's columns.
+    """
+    u, nx = cols.shape
+    depth = k - 2                       # levels 1..depth hold prefix minima
+    cap = max(1, _SEARCH_FLOATS // nx)  # rows in one level or one block
+    base = head[-1] + 1 if head else 0
+    if math.comb(u - 2, depth) > cap:  # the largest level
+        best = (np.inf, None)
+        for f in range(u - k + 1):
+            sub_seed = np.minimum(seed, cols[f])
+            found = _colex_search(
+                cols[f + 1 :], probs, k - 1, sub_seed, head + (base + f,)
+            )
+            if found[0] < best[0]:
+                best = found
+        return best
+    # level j, group e: the j-prefixes with largest column e, rows C(e, j)
+    # on; e stops at u - k + j - 1 so that k - j columns still fit above it
+    prefixes, sets = seed[None, :], np.empty((1, 0), dtype=np.intp)
+    for j in range(1, depth + 1):
+        rows = math.comb(u - k + j, j)
+        level, level_sets = np.empty((rows, nx)), np.empty((rows, j), dtype=np.intp)
+        for e in range(j - 1, u - k + j):
+            lo, hi = math.comb(e, j), math.comb(e + 1, j)
+            np.minimum(prefixes[: hi - lo], cols[e], out=level[lo:hi])
+            level_sets[lo:hi, :-1] = sets[: hi - lo]
+            level_sets[lo:hi, -1] = e
+        prefixes, sets = level, level_sets
+    # every prefix's rank in lexicographic order
+    rank = np.empty(len(sets), dtype=np.intp)
+    rank[np.lexsort(sets.T[::-1]) if depth else [0]] = np.arange(len(sets))
+    group = np.empty_like(prefixes)
+    block = np.empty(min(cap, len(prefixes) * (u - k + 1)) * nx)
+    best_val, best_set = np.inf, None
+    for e2 in range(depth, u - 1):      # the second largest column
+        count = math.comb(e2, depth)
+        lead = np.minimum(prefixes[:count], cols[e2], out=group[:count])
+        width = min(u - 1 - e2, cap)
+        for p0 in range(0, count, cap // width):
+            g = lead[p0 : p0 + cap // width, None, :]
+            for c0 in range(e2 + 1, u, width):
+                tail = cols[c0 : c0 + width]
+                low = block[: len(g) * len(tail) * nx].reshape(len(g), -1, nx)
+                vals = np.vecdot(np.minimum(g, tail, out=low), probs)
+                v = vals.min()
+                if v > best_val:
+                    continue
+                # all sets here share e2, so the tied prefix of least rank,
+                # then the least last column, is the lexicographic first
+                hit = vals == v
+                tied = np.flatnonzero(hit.any(axis=1))
+                p = tied[rank[p0 + tied].argmin()]
+                cand = (*sets[p0 + p].tolist(), e2, c0 + int(hit[p].argmax()))
+                if v < best_val or cand < best_set:
+                    best_val, best_set = float(v), cand
+    return best_val, head + tuple(base + c for c in best_set)
 
 
 def exhaustive_best_code(

@@ -3,8 +3,10 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,27 @@ class TestSpecParsing:
         assert rc == cli.EXIT_SCHEMA
         err = capsys.readouterr().err
         assert "spec error" in err and "line 2" in err
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            # json.load refuses int literals past Python's 4,300-digit limit
+            (b'"seed": 9', b'"seed": ' + b"9" * 5001, "spec: Exceeds the limit (4300"),
+            (b'"two_node"', b'"two\xffnode"', "spec: not UTF-8 at byte"),
+            (b'"two_node"', b"[" * 10**5 + b"]" * 10**5, "spec: arrays or objects nested"),
+        ],
+        ids=["long-integer", "not-utf8", "deep-nesting"],
+    )
+    def test_unparsable_bytes_exit_two(self, tmp_path, capsys, old, new, message):
+        raw = json.dumps(base_spec()).encode()
+        assert old in raw
+        path = tmp_path / "spec.json"
+        path.write_bytes(raw.replace(old, new))
+        out = tmp_path / "out"
+        rc = cli.main(["region", "--spec", str(path), "--out", str(out)])
+        assert rc == cli.EXIT_SCHEMA
+        assert f"spec error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 CASCADE_IDENTITY = dict(
@@ -283,6 +306,52 @@ def test_mutated_specs_parse_or_raise_spec_error(data):
         assert exc.messages
     else:
         assert isinstance(spec, cli.ProblemSpec)
+
+
+NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+BAD_UTF8 = [b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+
+
+@st.composite
+def mutated_spec_bytes(draw):
+    """A shipped spec with 1-3 byte-level mutations."""
+    name = draw(st.sampled_from(sorted(SHIPPED)))
+    with open(os.path.join(SPEC_DIR, name), "rb") as fh:
+        raw = fh.read()
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["digits", "utf8", "truncate", "non-finite"]))
+        numbers = list(NUMBER.finditer(raw))
+        if kind in ("digits", "non-finite") and numbers:
+            span = draw(st.sampled_from(numbers)).span()
+            if kind == "digits":
+                at = draw(st.integers(*span))
+                digit = draw(st.sampled_from([b"%d" % i for i in range(10)]))
+                raw = raw[:at] + digit * draw(st.integers(4000, 6000)) + raw[at:]
+            else:
+                token = draw(st.sampled_from([b"NaN", b"Infinity", b"-Infinity"]))
+                raw = raw[: span[0]] + token + raw[span[1] :]
+        elif kind == "utf8":
+            at = draw(st.integers(0, len(raw)))
+            raw = raw[:at] + draw(st.sampled_from(BAD_UTF8)) + raw[at:]
+        elif kind == "truncate":
+            raw = raw[: draw(st.integers(0, len(raw)))]
+    return raw
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=mutated_spec_bytes())
+def test_mutated_spec_bytes_load_or_raise_spec_error(raw):
+    # parsing only: no command runs, whatever sizes a mutation asks for
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        try:
+            spec = cli.load_problem_spec(path)
+        except cli.SpecError as exc:
+            assert exc.messages
+        else:
+            assert isinstance(spec, cli.ProblemSpec)
 
 
 class TestRegionCommand:

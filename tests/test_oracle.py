@@ -317,23 +317,58 @@ def loop_cascade(p0, target, n, rate1, rate2):
     )
 
 
+def lattice_columns(nx, u, seed=4):
+    # values on a coarse lattice, so many sets tie exactly
+    d = np.random.default_rng(seed).integers(0, 4, size=(nx, u)) / 8.0
+    return d, np.full(nx, 1 / nx)
+
+
+def cascade_columns():
+    """The (y-codeword, z-message) columns of one z-codeword set."""
+    p0, target = random_cascade()
+    sizes, n = target.mass.shape, 2
+    x_blocks, y_blocks, z_blocks = (orc._all_blocks(size, n) for size in sizes)
+    jc = (
+        x_blocks[:, None, None, :] * sizes[1] + y_blocks[None, :, None, :]
+    ) * sizes[2] + z_blocks[None, None, :, :]
+    counts = _type_counts(jc.reshape(-1, n), target.mass.size)
+    d3 = _tv_rows(counts, n, target.mass.ravel()).reshape(4, 4, 4)
+    return d3[:, :, [1, 2]].reshape(4, -1), p0.mass[x_blocks].prod(axis=1)
+
+
+def duplicated_columns():
+    d, probs = lattice_columns(8, 5)
+    return d[:, [0, 1, 1, 2, 3, 3, 3, 4, 0]], probs
+
+
+# every k from 1 to u is searched on each
+TIE_SHAPES = {
+    "lattice": lambda: lattice_columns(16, 12),
+    "one-column": lambda: lattice_columns(6, 1),
+    "one-row": lambda: lattice_columns(1, 9),
+    "duplicated": duplicated_columns,
+    "cascade": cascade_columns,
+}
+
+
 class TestBatchedSearchMatchesLoop:
     """Same optimum bits and the same lexicographically first code."""
 
     @staticmethod
-    def search(monkeypatch, args, reference=False, block=None):
+    def search(monkeypatch, args, reference=False, floats=None):
         with monkeypatch.context() as mp:
             if reference:
                 mp.setattr(orc, "_best_codeword_set", loop_best_set)
-            if block is not None:
-                mp.setattr(orc, "_COMBO_BLOCK", block)
+            if floats is not None:
+                mp.setattr(orc, "_SEARCH_FLOATS", floats)
             return orc.exhaustive_best_code(*args)
 
     def check(self, monkeypatch, *args):
         ref = self.search(monkeypatch, args, reference=True)
-        # 7-row blocks put ties and the minimiser across many block edges
-        for block in (7, None):
-            rep = self.search(monkeypatch, args, block=block)
+        # one float per block leaves one broadcast row in each, which puts
+        # ties and the minimiser across every block edge
+        for floats in (1, None):
+            rep = self.search(monkeypatch, args, floats=floats)
             assert rep.optimum.hex() == ref.optimum.hex()
             assert rep.optimizer.encoder.tolist() == ref.optimizer.encoder.tolist()
             assert (
@@ -376,16 +411,39 @@ class TestBatchedSearchMatchesLoop:
         assert code.recoder[: len(rec)].tolist() == rec
         assert code.decoder_end[: len(dec_z)].tolist() == dec_z.tolist()
 
-    def test_helper_on_random_ties(self):
-        # values on a coarse lattice, so many sets tie exactly
-        rng = np.random.default_rng(4)
-        d = rng.integers(0, 4, size=(16, 12)) / 8.0
-        probs = np.full(16, 1 / 16)
-        for k in range(1, 13):
-            val, best = orc._best_codeword_set(d, probs, k)
-            ref_val, ref_set = loop_best_set(d, probs, k)
-            assert val.hex() == ref_val.hex()
-            assert best == ref_set
+    def test_helper_on_random_ties(self, monkeypatch):
+        searches = []
+        search = orc._colex_search
+        monkeypatch.setattr(
+            orc, "_colex_search", lambda *a: searches.append(a) or search(*a)
+        )
+        # 1 float splits every search of k >= 3 down to pairs; 64 splits
+        # only the larger ones and leaves several rows in a block
+        for floats in (orc._SEARCH_FLOATS, 64, 1):
+            monkeypatch.setattr(orc, "_SEARCH_FLOATS", floats)
+            for shape, make in TIE_SHAPES.items():
+                d, probs = make()
+                u = d.shape[1]
+                searches.clear()
+                for k in range(1, u + 1):
+                    val, best = orc._best_codeword_set(d, probs, k)
+                    ref_val, ref_set = loop_best_set(d, probs, k)
+                    assert val.hex() == ref_val.hex(), (floats, shape, k)
+                    assert best == ref_set, (floats, shape, k)
+                if floats == 1 and u >= 3:
+                    assert len(searches) > u - 1  # the smallest-column split ran
+
+    def test_search_memory_is_bounded(self):
+        # 906,192 sets; unsplit, the levels alone would take about 8 MB
+        rng = np.random.default_rng(6)
+        d, probs = rng.random((32, 32)), rng.dirichlet(np.ones(32))
+        tracemalloc.start()
+        try:
+            orc._best_codeword_set(d, probs, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 def loop_grid_min_mi(p0, target, delta, grid_step):
