@@ -232,6 +232,8 @@ def parse_problem_spec(doc) -> ProblemSpec:
 
     raw = _section(doc, "monte_carlo", ("samples", "seed"), errors)
     mc_samples = _int_field(raw, "monte_carlo.samples", 1, errors)
+    if mc_samples is not None and mc_samples > cc.MAX_SAMPLES:
+        errors.append(f"monte_carlo.samples: at most MAX_SAMPLES = {cc.MAX_SAMPLES}")
     mc_seed = _int_field(raw, "monte_carlo.seed", 0, errors)
     raw = _section(doc, "oracle", ("budget",), errors)
     oracle_budget = _int_field(raw, "oracle.budget", 0, errors)
@@ -441,6 +443,7 @@ def cmd_simulate(
             "reason": None,
         }
         try:
+            cc.check_monte_carlo_work(n, spec.mc_samples)
             code = cc.build_codebook_code(
                 spec.source, spec.target, n, rate1=r1, rate2=r2, seed=build_seed
             )

@@ -16,10 +16,13 @@ message (minimum TV, lowest index on float-equal ties) is exactly what a
 per-codeword float TV would give.
 
 - Binary codebooks (n <= 64) are uint64 bitmasks; a word's index comes from
-  popcounts. Up to 2^16 words every word is scored against cache-sized
-  sample batches. Larger codebooks walk the table in increasing TV and look
-  the candidate words of each level up in a sorted word index, with a block
-  scan through the table when a level would enumerate too many words.
+  popcounts. The samples of a Monte-Carlo chunk are grouped by source
+  composition, and each group walks its table in increasing TV: a level's
+  candidate words for every live sample are built at once and looked up in
+  one call to the word index, and a sample stops at its first level with a
+  hit. Samples whose walk would enumerate more words than a scan of the
+  codebook costs take a batched block scan instead, each leaving it at its
+  table's floor.
 - Symbol-row codebooks (larger action alphabets, cascades) get their table
   index from one small matmul of per-sample place values with the
   codewords' one-hot rows; compositions whose table would be too large take
@@ -41,10 +44,21 @@ from coordlab.prob_core import JointPmf, Pmf, CondPmf, compose, total_variation
 MC_CHUNK = 4096            # samples per Monte-Carlo chunk (one RNG substream each)
 ENUM_GUARD = 4096          # max |X|^n for exact enumeration paths
 DEFAULT_TABLE_CAP = 1 << 26  # max message-set size for constructed codes
-_PACKED_SCAN_BLOCK = 1 << 18   # codewords per block in the early-exit scan
-_BROADCAST_WORDS = 1 << 16     # packed codebooks up to this size score every word
-_BROADCAST_MAX = 1 << 16       # samples*codewords per lookup batch (cache-sized)
-_CANDIDATE_CAP = 200_000       # max enumerated action words per encoded sample
+# Work bounds, checked before any symbol is drawn. Criterion 09 draws 2^30
+# codeword symbols and 320,000 source symbols; the benchmark's largest cell
+# 8192 * 24.
+MAX_SAMPLES = 1 << 24          # Monte-Carlo samples per estimate (their TVs are kept)
+MAX_SAMPLE_SYMBOLS = 1 << 32   # n * samples: source symbols one estimate draws
+MAX_BUILD_SYMBOLS = 1 << 33    # n * (m1 [+ m2]): codeword symbols one build draws
+MAX_HELD_SYMBOLS = 1 << 24     # symbols one array holds: a Monte-Carlo chunk, a symbol-row codebook
+MAX_JOBS = 32                  # Monte-Carlo worker threads
+_PACKED_SCAN_BLOCK = 1 << 16   # codewords per block in the early-exit scan
+_WALK_CELLS = 1 << 16          # samples*candidates (or *codewords) per packed batch
+# Candidates a sample may enumerate before it takes the scan. Past it, the
+# early-exit scan was cheaper on the identity target at n = 24, 28 and 32
+# and on a ternary source at n = 24 (2-core Xeon, 400-1000 samples).
+_CANDIDATE_CAP = 1 << 13
+_INDEX_BITS = 20               # word-index tables have 2^20 entries (4 MB): dense up to n = 20
 _SYMBOL_TABLE_CAP = 1 << 20    # max entries of one symbol-row TV table
 _SYMBOL_BLOCK = 1024           # codewords per one-hot block of the symbol kernel
 # Multiply-adds per symbol-kernel matmul. OpenBLAS runs a product of up to
@@ -68,6 +82,20 @@ def message_count(n: int, rate: float) -> int:
             f"message_count: 2^{n * rate:g} messages exceed the float range"
         )
     return max(1, int(math.ceil(2.0 ** (n * rate) - 1e-9)))
+
+
+def _check_symbols(what: str, count: int, bound: int, name: str) -> None:
+    if count > bound:
+        raise ValueError(f"{what} {count} exceed {name} 2^{bound.bit_length() - 1}")
+
+
+def check_monte_carlo_work(n: int, samples: int) -> None:
+    """Refuses a Monte-Carlo estimate past the work bounds, by ValueError
+    naming the bound, before anything is drawn."""
+    _check_symbols("samples", samples, MAX_SAMPLES, "MAX_SAMPLES")
+    _check_symbols("source symbols", n * samples, MAX_SAMPLE_SYMBOLS, "MAX_SAMPLE_SYMBOLS")
+    held = n * min(samples, MC_CHUNK)
+    _check_symbols("chunk symbols", held, MAX_HELD_SYMBOLS, "MAX_HELD_SYMBOLS")
 
 
 def _as_batch(x, n: int, x_size: int) -> np.ndarray:
@@ -204,16 +232,28 @@ class TableCode:
 
 
 class _WordIndex:
-    """A packed codebook sorted by (word, message index), for exact lookups.
+    """Each word's lowest message index in a packed codebook, for exact
+    lookups.
 
-    Keys are word << shift | index when both fit in 64 bits, so one
+    With at most 2^_INDEX_BITS possible words it is a dense table over all
+    of them. Otherwise it is the codebook sorted by (word, message index):
+    keys are word << shift | index when both fit in 64 bits, so one
     in-place sort orders the words and breaks ties by index, with no index
     array; otherwise the keys are the words in stable order, with their
-    indices beside them.
+    indices beside them. A table of where each value of the words' top
+    _INDEX_BITS bits starts in the keys narrows a query to one run, and a
+    binary search within the run finds the first key at or above
+    word << shift: it holds the word's lowest index.
     """
 
     def __init__(self, words: np.ndarray, n: int):
         m = words.shape[0]
+        self.dense = self.order = None
+        if n <= _INDEX_BITS:
+            uniq, first = np.unique(words, return_index=True)  # first occurrences
+            self.dense = np.full(1 << n, -1, dtype=np.int32 if m < 1 << 31 else np.int64)
+            self.dense[uniq] = first
+            return
         shift = max(1, (m - 1).bit_length())
         if n + shift <= 64:
             keys = np.left_shift(words, np.uint64(shift))
@@ -221,30 +261,49 @@ class _WordIndex:
                 hi = min(lo + _PACKED_SCAN_BLOCK, m)
                 keys[lo:hi] |= np.arange(lo, hi, dtype=np.uint64)
             keys.sort()
-            self.order = None
         else:
             shift = 0
             self.order = np.argsort(words, kind="stable")
             keys = words[self.order]
         self.keys = keys
         self.shift = np.uint64(shift)
+        self.drop = np.uint64(n - _INDEX_BITS)
+        # run lengths, then their running sum; int32 while lo + hi of the
+        # binary search cannot overflow. Sorted keys put each block's top
+        # bits in one contiguous range.
+        starts = np.zeros((1 << _INDEX_BITS) + 1, dtype=np.int32 if m < 1 << 30 else np.int64)
+        for lo in range(0, m, _PACKED_SCAN_BLOCK):
+            top = (keys[lo : lo + _PACKED_SCAN_BLOCK] >> (self.shift + self.drop)).astype(np.intp)
+            starts[top[0] + 1 : top[-1] + 2] += np.bincount(top - top[0]).astype(starts.dtype)
+        self.depth = int(starts.max()).bit_length()  # halvings of the longest run
+        self.starts = np.cumsum(starts, out=starts)
 
-    def first_index(self, queries: np.ndarray) -> int:
-        """Lowest message index whose word is among queries, else -1.
+    def lookup(self, queries: np.ndarray) -> np.ndarray:
+        """The lowest message index of each query word, -1 where no codeword
+        is that word.
 
-        Sorted queries walk the keys in order. The first key at or above
-        word << shift holds the word's lowest index.
+        A search that leaves its run lands on a key of other top bits, or
+        on the last key, which is below word << shift; neither holds the
+        word, so no run-end check is needed.
         """
-        pos = np.searchsorted(self.keys, queries << self.shift)
-        pos = np.minimum(pos, self.keys.shape[0] - 1)
-        found = self.keys[pos]
+        if self.dense is not None:
+            return self.dense[queries]
+        top = (queries >> self.drop).astype(np.intp)
+        lo, hi = self.starts[top], self.starts[top + 1]
+        last = self.keys.shape[0] - 1
+        target = queries << self.shift
+        for _ in range(self.depth):
+            mid = (lo + hi) >> 1
+            right = (lo < hi) & (self.keys[np.minimum(mid, last)] < target)
+            lo = np.where(right, mid + 1, lo)
+            hi = np.where(right, hi, mid)
+        found = self.keys[np.minimum(lo, last)]
         hit = (found >> self.shift) == queries
-        if not hit.any():
-            return -1
         if self.order is None:
-            low = np.uint64((1 << int(self.shift)) - 1)
-            return int((found[hit] & low).min())
-        return int(self.order[pos[hit]].min())
+            index = found & np.uint64((1 << int(self.shift)) - 1)
+        else:
+            index = self.order[np.minimum(lo, last)]
+        return np.where(hit, index.astype(np.int64), -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -496,12 +555,18 @@ class CodebookCode:
         return hit
 
     def _subset_or(self, bits: np.ndarray, c: int) -> np.ndarray:
-        """OR of every size-c subset of disjoint single-bit words."""
-        k = bits.shape[0]
+        """OR of every size-c subset of each row's disjoint single-bit words:
+        (R, k) -> (R, comb(k, c))."""
+        k = bits.shape[1]
         if c > k - c:
             # enumerate the complement instead; disjoint bits make OR a sum
-            return bits.sum(dtype=np.uint64) - self._subset_or(bits, k - c)
-        return bits[self._combinations(k, c)].sum(axis=1, dtype=np.uint64)
+            total = bits.sum(axis=1, dtype=np.uint64, keepdims=True)
+            return total - self._subset_or(bits, k - c)
+        combos = self._combinations(k, c)
+        out = bits[:, combos[:, 0]] if c else np.zeros((bits.shape[0], 1), dtype=np.uint64)
+        for j in range(1, c):
+            out |= bits[:, combos[:, j]]
+        return out
 
     def _word_index(self) -> "_WordIndex":
         """The packed codebook's word index, built once."""
@@ -510,97 +575,117 @@ class CodebookCode:
                 object.__setattr__(self, "_index_cache", _WordIndex(self.packed_y, self.n))
         return self._index_cache
 
-    def _nn_search(self, x_row: np.ndarray, comp: tuple) -> Optional[int]:
-        """Exact min-TV codeword by candidate enumeration.
+    def _walk_batch(self, x_rows: np.ndarray, comp: tuple, budget: int) -> np.ndarray:
+        """Min-TV codewords of samples that share source composition comp.
 
-        Walks the composition's table in increasing TV; the candidate action
-        words of a count combo are all placements of the per-symbol ones,
-        looked up in the sorted codebook. The first TV level with a hit
-        holds the optimum, and its lowest original index among all attaining
-        codewords. Returns None when a level would enumerate too many
-        words, which happens for diffuse targets where the scan is the
-        better tool anyway.
+        Walks the composition's table in increasing TV. The candidate action
+        words of a count combo are all placements of the per-symbol ones;
+        each level's candidates for every live sample are built at once and
+        looked up in the word index. A sample stops at the first level with
+        a hit and takes the lowest message index among that level's hits.
+        Samples still live when the next level would take the candidates
+        enumerated past ``budget`` come back as -1, for the scan.
         """
-        if math.prod(c + 1 for c in comp) > _CANDIDATE_CAP:
-            return None
-        part_bits = [
-            np.uint64(1) << np.flatnonzero(x_row == a).astype(np.uint64)
-            for a in range(self.x_size)
-        ]
+        g = x_rows.shape[0]
+        m1 = self.packed_y.shape[0]
         combos, bounds, spent = self._walk(comp)
         index = self._word_index()
-        subsets = {}  # (symbol, ones) -> words, shared by the combos
+        # each source symbol's positions as single-bit words, a row a sample
+        parts = [
+            np.left_shift(np.uint64(1), np.nonzero(x_rows == a)[1].astype(np.uint64)).reshape(g, k)
+            for a, k in enumerate(comp)
+        ]
+        out = np.full(g, -1, dtype=np.int64)
+        live = np.arange(g)
         for lo, hi in zip(bounds, bounds[1:]):
-            if spent[hi] > _CANDIDATE_CAP:
-                return None
-            level = []
-            for counts in combos[lo:hi]:
-                words = None
-                for a, c in enumerate(counts):
-                    nxt = subsets.get((a, c))
-                    if nxt is None:
-                        nxt = subsets[a, c] = self._subset_or(part_bits[a], c)
-                    words = nxt if words is None else (words[:, None] | nxt).ravel()
-                level.append(words)
-            best = index.first_index(np.sort(np.concatenate(level)))
-            if best >= 0:
-                return best
-        return None
+            if live.size == 0 or spent[hi] > budget:
+                break
+            step = max(1, _WALK_CELLS // int(spent[hi] - spent[lo]))
+            missed = []
+            for s0 in range(0, live.size, step):
+                rows = live[s0 : s0 + step]
+                subsets = {}  # (symbol, ones) -> words, shared by the combos
+                level = []
+                for counts in combos[lo:hi]:
+                    words = None
+                    for a, c in enumerate(counts):
+                        nxt = subsets.get((a, c))
+                        if nxt is None:
+                            nxt = subsets[a, c] = self._subset_or(parts[a][rows], c)
+                        words = nxt if words is None else (
+                            words[:, :, None] | nxt[:, None, :]
+                        ).reshape(rows.size, -1)
+                    level.append(words)
+                first = index.lookup(np.concatenate(level, axis=1))
+                best = np.where(first >= 0, first, m1).min(axis=1)
+                hit = best < m1
+                out[rows[hit]] = best[hit]
+                missed.append(rows[~hit])
+            live = np.concatenate(missed)
+        return out
 
-    def _scan_packed(self, mask: np.ndarray, comp: tuple) -> int:
-        """Exact min-TV codeword of one sample by a block scan through its
-        table, stopping at the first block that reaches the table's floor."""
+    def _scan_batch(self, masks: np.ndarray, comps: np.ndarray) -> np.ndarray:
+        """Min-TV codewords of samples by a block scan through the codebook.
+
+        Every live sample scores each block of codewords through its table;
+        a sample leaves at the first block that reaches its table's floor.
+        masks and comps are (A, S); one scoring call takes samples times
+        codewords within ``_WALK_CELLS``.
+        """
         cb = self.packed_y
-        table = self._table(comp)
-        floor = table.min()
-        coef = (self._strides(comp)[:-1] - 1)[:, None]
-        base = np.zeros(1, dtype=np.int64)
-        best_tv, best_j = np.inf, -1
-        for lo in range(0, cb.shape[0], _PACKED_SCAN_BLOCK):
-            words = cb[lo : lo + _PACKED_SCAN_BLOCK]
+        s = comps.shape[1]
+        inv, places, flat, starts, _ = self._batch_tables(comps.T)
+        floor = np.minimum.reduceat(flat, starts)[inv]
+        coef = (places[:, :-1] - 1)[inv].T  # (A - 1, S)
+        base = starts[inv]
+        best_tv = np.full(s, np.inf)
+        best_j = np.zeros(s, dtype=np.int64)
+        live = np.arange(s)
+        block = min(_PACKED_SCAN_BLOCK, cb.shape[0])
+        step = max(1, _WALK_CELLS // block)
+        for lo in range(0, cb.shape[0], block):
+            words = cb[lo : lo + block]
             ones = np.bitwise_count(words).astype(np.int64)
-            tv = self._packed_scores(words, ones, mask[:, None], base, coef, table)[0]
-            j = int(tv.argmin())
-            if tv[j] < best_tv:
-                best_tv, best_j = tv[j], lo + j
-            if best_tv == floor:
+            for s0 in range(0, live.size, step):
+                rows = live[s0 : s0 + step]
+                tv = self._packed_scores(words, ones, masks[:, rows], base[rows], coef[:, rows], flat)
+                j = tv.argmin(axis=1)  # first minimum per sample
+                v = tv[np.arange(rows.size), j]
+                better = v < best_tv[rows]
+                best_tv[rows[better]] = v[better]
+                best_j[rows[better]] = lo + j[better]
+            live = live[best_tv[live] > floor[live]]
+            if live.size == 0:
                 break
         return best_j
 
     def _encode_packed(self, x_batch: np.ndarray):
         """Min-TV encoding of binary-action batches.
 
-        Returns (message indices, per-sample count columns c1[a] for the
-        chosen codeword) so callers can score against other targets without
-        touching the codebook again.
+        Samples are grouped by source composition and each group walks its
+        table (``_walk_batch``); samples the walk leaves, and those whose
+        table has more than ``_WALK_CELLS`` entries, take the block scan.
+        The walk's budget is the cheaper of ``_CANDIDATE_CAP`` candidates
+        and one scan of the codebook. Returns (message indices, per-sample
+        count columns c1[a] for the chosen codeword) so callers can score
+        against other targets without touching the codebook again.
         """
         cb = self.packed_y
-        m1 = cb.shape[0]
-        s = x_batch.shape[0]
         masks = np.stack([_pack_bits(x_batch == a) for a in range(self.x_size)])
         comps = np.bitwise_count(masks).astype(np.int64)  # (A, S)
-        out_idx = np.empty(s, dtype=np.int64)
-
-        if m1 <= _BROADCAST_WORDS:
-            # every codeword against cache-sized sample batches
-            inv, places, flat, starts, _ = self._batch_tables(comps.T)
-            coef = (places[:, :-1] - 1)[inv].T  # (A - 1, S)
-            base = starts[inv]
-            ones = np.bitwise_count(cb).astype(np.int64)
-            step = max(1, _BROADCAST_MAX // m1)
-            for lo in range(0, s, step):
-                hi = min(lo + step, s)
-                tv = self._packed_scores(
-                    cb, ones, masks[:, lo:hi], base[lo:hi], coef[:, lo:hi], flat
-                )
-                out_idx[lo:hi] = tv.argmin(axis=1)  # first minimum per sample
-        else:
-            for i in range(s):
-                comp = tuple(int(c) for c in comps[:, i])
-                found = self._nn_search(x_batch[i], comp)
-                out_idx[i] = found if found is not None else self._scan_packed(
-                    masks[:, i], comp
-                )
+        out_idx = np.full(x_batch.shape[0], -1, dtype=np.int64)
+        # when one scan call holds every sample against every word, the
+        # walk's per-level calls cost more than all of its candidates save
+        if x_batch.shape[0] * cb.shape[0] > _WALK_CELLS:
+            budget = min(_CANDIDATE_CAP, cb.shape[0])
+            uniq, inv = np.unique(comps.T, axis=0, return_inverse=True)
+            for g, comp in enumerate(uniq.tolist()):
+                if math.prod(c + 1 for c in comp) <= _WALK_CELLS:
+                    rows = np.flatnonzero(inv.ravel() == g)
+                    out_idx[rows] = self._walk_batch(x_batch[rows], tuple(comp), budget)
+        rest = np.flatnonzero(out_idx < 0)
+        if rest.size:
+            out_idx[rest] = self._scan_batch(masks[:, rest], comps[:, rest])
         chosen = cb[out_idx]
         out_c1 = np.stack(
             [np.bitwise_count(chosen & masks[a]) for a in range(self.x_size)]
@@ -912,6 +997,7 @@ def expected_tv_monte_carlo(
         raise ValueError(f"samples must be >= 1, got {samples}")
     if p0.alphabet_size != code.x_size:
         raise ValueError("source alphabet does not match the code")
+    check_monte_carlo_work(code.n, samples)
     sizes = [MC_CHUNK] * (samples // MC_CHUNK)
     if samples % MC_CHUNK:
         sizes.append(samples % MC_CHUNK)
@@ -920,8 +1006,9 @@ def expected_tv_monte_carlo(
     def run(i: int) -> np.ndarray:
         return _chunk_tvs(code, p0, target, sizes[i], children[i])
 
-    if jobs is not None and jobs > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs or 1, len(sizes), MAX_JOBS)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, range(len(sizes))))
     else:
         parts = [run(i) for i in range(len(sizes))]
@@ -985,22 +1072,26 @@ def build_codebook_code(
     if (rate2 is not None) != cascade:
         raise ValueError("rate2 required iff the target has two output axes")
     m1 = _capped_count(n, rate1, table_cap)
+    m2 = _capped_count(n, rate2, table_cap) if cascade else 0
     x_size = p0.alphabet_size
     y_size = joint.mass.shape[1]
+    packed = y_size == 2 and n <= 64 and not cascade
+    _check_symbols("codeword symbols", n * (m1 + m2), MAX_BUILD_SYMBOLS, "MAX_BUILD_SYMBOLS")
+    # packed codebooks are drawn in blocks; symbol rows are held whole
+    held = n * max(0 if packed else m1, m2)
+    _check_symbols("codebook symbols", held, MAX_HELD_SYMBOLS, "MAX_HELD_SYMBOLS")
     ss = np.random.SeedSequence(seed)
     child_y, child_z = ss.spawn(2)
     y_marg = joint.mass.reshape(x_size, y_size, -1).sum(axis=(0, 2))
 
-    packed = None
-    symbols = None
-    if y_size == 2 and n <= 64 and not cascade:
+    words = symbols = None
+    if packed:
         rng = np.random.default_rng(child_y)
         words = np.empty(m1, dtype=np.uint64)
         step = 1 << 15
         for lo in range(0, m1, step):
             hi = min(lo + step, m1)
             words[lo:hi] = _pack_bits(_draw_symbols(rng, y_marg, hi - lo, n))
-        packed = words
     else:
         symbols = _draw_symbols(np.random.default_rng(child_y), y_marg, m1, n)
         symbols = symbols.astype(np.int64, copy=False)
@@ -1012,12 +1103,11 @@ def build_codebook_code(
             y_size=y_size,
             rate1=rate1,
             target=joint,
-            packed_y=packed,
+            packed_y=words,
             symbols_y=symbols,
         )
 
     z_size = joint.mass.shape[2]
-    m2 = _capped_count(n, rate2, table_cap)
     z_marg = joint.mass.sum(axis=(0, 1))
     symbols_z = _draw_symbols(np.random.default_rng(child_z), z_marg, m2, n)
     symbols_z = symbols_z.astype(np.int64, copy=False)

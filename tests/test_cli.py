@@ -497,6 +497,38 @@ class TestSimulateCommand:
         assert row["skipped"] == "1"
         assert row["reason"] == "message set 2^960 exceeds table_cap 67108864"
 
+    def test_hostile_samples_refused(self, tmp_path, capsys, refuse_work, traced):
+        # 10^18 samples once ended in a MemoryError traceback
+        doc = base_spec(monte_carlo={"samples": 10**18, "seed": 9})
+        spec = write_spec(tmp_path, doc)
+        rc, peak = traced(lambda: cli.main(["simulate", "--spec", spec, "--out", str(tmp_path)]))
+        assert rc == cli.EXIT_SCHEMA and peak < 1 << 20
+        assert "monte_carlo.samples: at most MAX_SAMPLES" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "samples, reason",
+        [
+            (2000, "source symbols 2000000000000 exceed MAX_SAMPLE_SYMBOLS 2^32"),
+            (1, "chunk symbols 1000000000 exceed MAX_HELD_SYMBOLS 2^24"),
+        ],
+    )
+    def test_hostile_blocklength_skipped(self, tmp_path, capsys, refuse_work, traced, samples, reason):
+        # n = 10^9 at R1 = 0 once drew 8 GB of uniforms for its one codeword
+        doc = base_spec(n_grid=[10**9], rates={"R1": 0.0}, monte_carlo={"samples": samples, "seed": 9})
+        spec = write_spec(tmp_path, doc)
+        rc, peak = traced(lambda: cli.main(["simulate", "--spec", spec, "--out", str(tmp_path)]))
+        assert rc == cli.EXIT_PARTIAL and peak < 1 << 20
+        assert "skipped" in capsys.readouterr().err
+        (row,) = read_rows(tmp_path / "simulation.csv")
+        assert row["skipped"] == "1" and row["reason"] == reason
+
+    def test_env_jobs_capped(self, tmp_path, monkeypatch, pool_workers):
+        monkeypatch.setattr(cc, "MC_CHUNK", 8)  # 400 samples, 50 chunks
+        monkeypatch.setenv("COORDLAB_JOBS", "1000000")
+        spec = write_spec(tmp_path, base_spec())
+        assert cli.main(["simulate", "--spec", spec, "--out", str(tmp_path)]) == 0
+        assert pool_workers == [cc.MAX_JOBS] * 4
+
     def test_env_jobs_invalid(self, tmp_path, monkeypatch, capsys):
         spec = write_spec(tmp_path, base_spec())
         monkeypatch.setenv("COORDLAB_JOBS", "many")

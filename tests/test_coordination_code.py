@@ -361,6 +361,26 @@ def source_draws(p0, n, count, seed):
     return rng.choice(p0.alphabet_size, size=(count, n), p=p0.mass)
 
 
+def spy_packed_kernels(monkeypatch):
+    """Records the packed kernels' work: returns (a function giving every
+    walk result so far, concatenated, with -1 for samples left to the scan;
+    the sample count of each scan call)."""
+    walks, scanned = [], []
+    walk, scan = cc.CodebookCode._walk_batch, cc.CodebookCode._scan_batch
+
+    def spy_walk(self, x_rows, comp, budget):
+        walks.append(walk(self, x_rows, comp, budget))
+        return walks[-1]
+
+    def spy_scan(self, masks, comps):
+        scanned.append(comps.shape[1])
+        return scan(self, masks, comps)
+
+    monkeypatch.setattr(cc.CodebookCode, "_walk_batch", spy_walk)
+    monkeypatch.setattr(cc.CodebookCode, "_scan_batch", spy_scan)
+    return (lambda: np.concatenate(walks or [np.empty(0, dtype=np.int64)])), scanned
+
+
 TERNARY_P0 = pc.Pmf([0.5, 0.3, 0.2])
 TERNARY_Q = pc.CondPmf([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
 CASCADE_Q = pc.CondPmf(np.array([[[0.7, 0.1], [0.1, 0.1]], [[0.1, 0.1], [0.1, 0.7]]]))
@@ -369,13 +389,17 @@ CASCADE_Q = pc.CondPmf(np.array([[[0.7, 0.1], [0.1, 0.1]], [[0.1, 0.1], [0.1, 0.
 class TestEncoderPaths:
     """Every encoder path against the brute-force reference."""
 
-    def test_packed_broadcast(self):
+    def test_packed_broadcast(self, monkeypatch):
+        # a small codebook: the walk's budget is one scan of its 256 words,
+        # so a few of the 1024 inputs leave the walk for the scan
         rng = np.random.default_rng(21)
         p0 = pc.Pmf([0.3, 0.7])
         code = cc.build_codebook_code(p0, pc.CondPmf(rng.dirichlet([1, 1], 2)), 10, 0.8, seed=3)
-        assert code.packed_y is not None and code.m1 <= cc._BROADCAST_WORDS
+        assert code.packed_y is not None and code.m1 == 256
+        walked, scanned = spy_packed_kernels(monkeypatch)
         inputs = cc._enumerate_inputs(2, 10)
         assert np.array_equal(code.encode(inputs), brute_force_encode(code, inputs))
+        assert (walked() >= 0).sum() > 900 and 0 < sum(scanned) < 100
 
     @pytest.mark.parametrize("p0", [pc.Pmf([0.5, 0.5]), pc.Pmf([0.4, 0.35, 0.25])])
     def test_candidate_walk(self, p0, monkeypatch):
@@ -383,24 +407,20 @@ class TestEncoderPaths:
         # levels with no codeword before they find one
         q = pc.CondPmf([[1.0, 0.0]] + [[0.0, 1.0]] * (p0.alphabet_size - 1))
         code = cc.build_codebook_code(p0, q, 22, 0.76, seed=4)
-        assert code.m1 > cc._BROADCAST_WORDS
-        walked, levels = [], []
-        search, lookup = cc.CodebookCode._nn_search, cc._WordIndex.first_index
-
-        def spy_search(self, x_row, comp):
-            walked.append(search(self, x_row, comp))
-            return walked[-1]
+        assert code._word_index().dense is None  # binary search of sorted keys
+        walked, scanned = spy_packed_kernels(monkeypatch)
+        levels = []
+        lookup = cc._WordIndex.lookup
 
         def spy_lookup(self, queries):
             levels.append(lookup(self, queries))
             return levels[-1]
 
-        monkeypatch.setattr(cc.CodebookCode, "_nn_search", spy_search)
-        monkeypatch.setattr(cc._WordIndex, "first_index", spy_lookup)
+        monkeypatch.setattr(cc._WordIndex, "lookup", spy_lookup)
         x = source_draws(p0, 22, 40, seed=5)
         assert np.array_equal(code.encode(x), brute_force_encode(code, x))
-        assert len(walked) == 40 and None not in walked
-        assert -1 in levels
+        assert walked().size == 40 and (walked() >= 0).all() and not scanned
+        assert any((level < 0).all(axis=1).any() for level in levels)
 
     def test_block_scan_fallback(self, monkeypatch):
         p0 = pc.Pmf([0.5, 0.5])
@@ -480,8 +500,144 @@ class TestEncoderPaths:
             )
 
 
+class TestPackedBatch:
+    """The batched walk and scan on whole chunks, against brute force."""
+
+    def test_chunk_mixes_many_compositions(self, monkeypatch):
+        q = pc.CondPmf([[0.9, 0.1], [0.3, 0.7], [0.5, 0.5]])
+        code = cc.build_codebook_code(TERNARY_P0, q, 21, 0.8, seed=30)
+        x = source_draws(TERNARY_P0, 21, 300, seed=31)
+        comps = {tuple(np.bincount(row, minlength=3)) for row in x}
+        assert len(comps) > 40
+        walked, scanned = spy_packed_kernels(monkeypatch)
+        assert np.array_equal(code.encode(x), brute_force_encode(code, x))
+        assert walked().size + sum(scanned) >= 300
+
+    def test_samples_leave_the_walk_mid_batch(self, monkeypatch):
+        # a budget of 200 candidates resolves some samples of a composition
+        # and sends the rest to the scan; 128 cells split every level into
+        # many sample slices and still admit every table (at most 10 x 10)
+        p0 = pc.Pmf([0.5, 0.5])
+        code = cc.build_codebook_code(p0, pc.CondPmf.identity(2), 18, 0.95, seed=6)
+        x = source_draws(p0, 18, 200, seed=7)
+        monkeypatch.setattr(cc, "_CANDIDATE_CAP", 200)
+        monkeypatch.setattr(cc, "_WALK_CELLS", 128)
+        walked, scanned = spy_packed_kernels(monkeypatch)
+        assert np.array_equal(code.encode(x), brute_force_encode(code, x))
+        assert 0 < sum(scanned) < 200 and sum(scanned) == (walked() < 0).sum()
+
+    @pytest.mark.parametrize(
+        "n, rate, cap, kernel",
+        [(12, 0.5, 200_000, "scan"), (18, 0.95, 200_000, "walk"), (18, 0.95, 300, "scan")],
+    )
+    def test_flat_target_ties_in_one_chunk(self, n, rate, cap, kernel, monkeypatch):
+        # every count vector of a composition ties with its mirror image, in
+        # the walk's levels and in the scan's blocks alike. The floor level
+        # holds more words than a 64-word codebook or a 300-candidate budget,
+        # so those samples all take the scan
+        p0 = pc.Pmf([0.5, 0.5])
+        code = cc.build_codebook_code(p0, pc.CondPmf([[0.5, 0.5], [0.5, 0.5]]), n, rate, seed=32)
+        monkeypatch.setattr(cc, "_CANDIDATE_CAP", cap)
+        monkeypatch.setattr(cc, "_PACKED_SCAN_BLOCK", 1000)
+        walked, scanned = spy_packed_kernels(monkeypatch)
+        x = source_draws(p0, n, 150, seed=33)
+        assert np.array_equal(code.encode(x), brute_force_encode(code, x))
+        if kernel == "walk":
+            assert (walked() >= 0).sum() > 100
+        else:
+            assert sum(scanned) == 150
+
+    @pytest.mark.parametrize("cap", [0, 200_000])
+    def test_duplicated_words_across_scan_blocks(self, cap, monkeypatch):
+        # four copies of each word, a quarter of the codebook apart, so
+        # every copy sits in another 5000-word scan block
+        p0 = pc.Pmf([0.5, 0.5])
+        base = cc.build_codebook_code(p0, pc.CondPmf.identity(2), 18, 0.95, seed=34)
+        words = np.tile(base.packed_y[: base.m1 // 4 + 1], 4)[: base.m1]
+        dup = cc.CodebookCode(
+            n=18, x_size=2, y_size=2, rate1=base.rate1, target=base.target, packed_y=words
+        )
+        monkeypatch.setattr(cc, "_CANDIDATE_CAP", cap)
+        monkeypatch.setattr(cc, "_PACKED_SCAN_BLOCK", 5000)
+        x = source_draws(p0, 18, 40, seed=35)
+        got = dup.encode(x)
+        assert np.array_equal(got, brute_force_encode(dup, x))
+        assert got.max() <= base.m1 // 4
+
+    def test_chunk_memory_is_bounded(self, traced):
+        # a chunk of 4096 samples of a 439,075-word code, after a first
+        # chunk has filled the composition caches; unbatched, one level of
+        # a composition's samples took 62 MB
+        p0 = pc.Pmf([0.5, 0.5])
+        code = cc.build_codebook_code(p0, pc.CondPmf.identity(2), 24, 0.781, seed=36)
+        code.encode(source_draws(p0, 24, cc.MC_CHUNK, seed=37))
+        x = source_draws(p0, 24, cc.MC_CHUNK, seed=38)
+        assert traced(lambda: code.encode(x))[1] < 10_000_000
+
+
+class TestWorkBounds:
+    """Hostile sizes are refused before anything is drawn."""
+
+    @pytest.mark.parametrize(
+        "n, samples, bound",
+        [
+            (16, 10**18, "MAX_SAMPLES"),
+            (10**9, 2000, "MAX_SAMPLE_SYMBOLS"),
+            (10**9, 1, "MAX_HELD_SYMBOLS"),
+        ],
+    )
+    def test_monte_carlo_refused(self, n, samples, bound, refuse_work, traced):
+        def run():
+            with pytest.raises(ValueError, match=bound):
+                cc.check_monte_carlo_work(n, samples)
+
+        assert traced(run)[1] < 1 << 20
+
+    def test_estimate_checks_bounds_first(self, monkeypatch, traced):
+        # 10^18 samples once built a list of 2.4e14 chunk sizes
+        p0 = pc.Pmf([0.5, 0.5])
+        code = cc.build_codebook_code(p0, pc.CondPmf.identity(2), 16, 0.5, seed=1)
+        target = pc.compose(p0, pc.CondPmf.identity(2))
+        monkeypatch.setattr(cc, "_chunk_tvs", None)  # any chunk run fails
+
+        def run():
+            with pytest.raises(ValueError, match="MAX_SAMPLES"):
+                cc.expected_tv_monte_carlo(code, p0, target, 10**18, 0, jobs=2)
+
+        assert traced(run)[1] < 1 << 20
+
+    @pytest.mark.parametrize(
+        "q, n, rates, table_cap, bound",
+        [
+            # R1 = 0 passes message_count at any n; the one codeword's
+            # 10^9 symbols would be 8 GB of uniforms
+            (pc.CondPmf.identity(2), 10**9, (0.0, None), cc.DEFAULT_TABLE_CAP, "MAX_HELD_SYMBOLS"),
+            (CASCADE_Q, 10**8, (0.0, 0.0), cc.DEFAULT_TABLE_CAP, "MAX_HELD_SYMBOLS"),
+            (pc.CondPmf.identity(2), 64, (27.5 / 64, None), 1 << 40, "MAX_BUILD_SYMBOLS"),
+        ],
+    )
+    def test_build_refused(self, q, n, rates, table_cap, bound, refuse_work, traced):
+        def run():
+            with pytest.raises(ValueError, match=bound):
+                cc.build_codebook_code(
+                    pc.Pmf([0.5, 0.5]), q, n, rates[0], rates[1], table_cap=table_cap
+                )
+
+        assert traced(run)[1] < 1 << 20
+
+    def test_worker_count_capped(self, monkeypatch, pool_workers):
+        monkeypatch.setattr(cc, "MC_CHUNK", 4)
+        p0 = pc.Pmf([0.5, 0.5])
+        code = cc.build_codebook_code(p0, pc.CondPmf.identity(2), 6, 0.5, seed=1)
+        target = pc.compose(p0, pc.CondPmf.identity(2))
+        for samples, jobs in [(400, 10**6), (10, 10**6), (400, 3), (400, 1)]:
+            cc.expected_tv_monte_carlo(code, p0, target, samples, 2, jobs=jobs)
+        assert pool_workers == [cc.MAX_JOBS, 3, 3]
+
+
 class TestWordIndex:
-    # keyed sort; keys using all 64 bits; n + 18 > 64, so argsort
+    # dense table; keyed sort with keys using all 64 bits; n + 18 > 64, so
+    # argsort
     @pytest.mark.parametrize("n", [20, 46, 48])
     def test_first_index_matches_scan(self, n):
         rng = np.random.default_rng(n)
@@ -490,15 +646,35 @@ class TestWordIndex:
         words[rng.integers(0, m, 4000)] = words[rng.integers(0, m, 4000)]
         words[:3] = [0, 1, 1]
         index = cc._WordIndex(words, n)
-        assert (index.order is None) == (n < 48)
+        assert (index.dense is not None, index.order is not None) == (n <= 20, n >= 48)
         for trial in range(60):
             present = words[rng.integers(0, m, trial % 4)]
             absent = rng.integers(0, 1 << n, size=5, dtype=np.uint64)
             absent[0] = (1 << n) - 1
-            queries = np.sort(np.concatenate([present, absent, words[:trial % 2]]))
+            queries = np.concatenate([present, absent, words[:trial % 2]])
+            rng.shuffle(queries)
+            got = index.lookup(queries[None, :])[0]
+            for q, g in zip(queries, got):
+                hits = np.flatnonzero(words == q)
+                assert g == (int(hits[0]) if hits.size else -1)
             hits = np.flatnonzero(np.isin(words, queries))
             want = int(hits[0]) if hits.size else -1
-            assert index.first_index(queries) == want
+            assert (int(got[got >= 0].min()) if (got >= 0).any() else -1) == want
+
+    def test_long_runs_of_equal_top_bits(self):
+        # 2^16 words below 2^30 at n = 46 share 16 values of their top 20
+        # bits: runs of about 4096 keys, a 13-step search in each
+        rng = np.random.default_rng(7)
+        words = rng.integers(0, 1 << 30, size=1 << 16, dtype=np.uint64)
+        words[rng.integers(0, 1 << 16, 2000)] = words[rng.integers(0, 1 << 16, 2000)]
+        index = cc._WordIndex(words, 46)
+        assert index.depth >= 12
+        queries = np.concatenate([words[rng.integers(0, 1 << 16, 500)], words[:5] + np.uint64(1),
+                                  rng.integers(0, 1 << 46, 500, dtype=np.uint64)])
+        _, first = np.unique(words, return_index=True)
+        lowest = dict(zip(words[first].tolist(), first.tolist()))
+        want = [lowest.get(q, -1) for q in queries.tolist()]
+        assert index.lookup(queries).tolist() == want
 
 
 class TestParallelCaches:
@@ -528,7 +704,7 @@ class TestParallelCaches:
                 )
         finally:
             sys.setswitchinterval(interval)
-        assert code.m1 > cc._BROADCAST_WORDS or code.symbols_y is not None
+        assert code._walks or code.symbols_y is not None
         assert reports[0] == reports[1] == reports[2]
 
 
