@@ -3,18 +3,20 @@
 Run from the repository root:
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --workload codebook_mc \
-        --pairs 10 --seconds 26 --seed 1 --seed 7 --out BENCH_11.json
+        --workload oracle_scan --pairs 10 --seconds 26 --seed 1 --seed 7 \
+        --out BENCH_12.json
 
 Each side is extracted into its own temporary directory: a revision by
 ``git archive``, the working tree (the default ``--change``) by copying the
 files git tracks or would track. ``perfbench/run.py`` then runs from each
-directory in turn, ``--pairs`` times for each ``--seed``, and the side that
-goes first alternates from pair to pair so that a drift of the machine's
-speed hits both sides alike. One traced run per side (``--trace 1``) adds
-the per-layer metrics. The BENCH file holds the environment, both commit
-ids, every run's metrics, per seed the median and quartiles of each
+directory in turn, ``--pairs`` times for each ``--workload`` and ``--seed``
+(both repeatable), and the side that goes first alternates from pair to
+pair so that a drift of the machine's speed hits both sides alike. One
+traced run per side and workload (``--trace 1``) adds the per-layer
+metrics. The BENCH file holds the environment, both commit ids, every
+run's metrics, per workload and seed the median and quartiles of each
 end-to-end metric on each side and in how many pairs the change beat the
-parent, and the traced metrics of both sides.
+parent, and per workload the traced metrics of both sides.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--parent", required=True, help="parent revision")
     parser.add_argument("--change", default=None, help="change revision (default: the working tree)")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True, help="perfbench workload; repeatable")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=26.0)
     parser.add_argument("--seed", type=int, action="append", help="battery order seed; repeatable (default 1)")
@@ -128,31 +130,34 @@ def main(argv=None) -> int:
             bench = json.load(fh)
         better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
 
-        runs, env = [], {}
-        for seed in seeds:
-            for pair in range(args.pairs):
-                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-                for side in order:
-                    got = run_bench(trees[side], args.workload, seed, args.seconds, 0)
-                    env = env or got["env"]
-                    res = got["result"]
-                    metrics = {k: v["value"] for k, v in res.get("metrics", {}).items()}
-                    runs.append({"seed": seed, "pair": pair, "side": side,
-                                 "correct": res.get("correct"),
-                                 "returncode": res["returncode"], "metrics": metrics})
-                    print(f"seed {seed} pair {pair} {side}: "
-                          + json.dumps(metrics, sort_keys=True), flush=True)
-        traced = {}
-        for side in ("parent", "change"):
-            res = run_bench(trees[side], args.workload, seeds[0], args.seconds, 1)["result"]
-            traced[side] = {"correct": res.get("correct"), "returncode": res["returncode"],
-                            "metrics": {k: v["value"] for k, v in res.get("metrics", {}).items()}}
+        runs, env, traced = [], {}, {}
+        for workload in args.workload:
+            for seed in seeds:
+                for pair in range(args.pairs):
+                    order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                    for side in order:
+                        got = run_bench(trees[side], workload, seed, args.seconds, 0)
+                        env = env or got["env"]
+                        res = got["result"]
+                        metrics = {k: v["value"] for k, v in res.get("metrics", {}).items()}
+                        runs.append({"workload": workload, "seed": seed, "pair": pair,
+                                     "side": side, "correct": res.get("correct"),
+                                     "returncode": res["returncode"], "metrics": metrics})
+                        print(f"{workload} seed {seed} pair {pair} {side}: "
+                              + json.dumps(metrics, sort_keys=True), flush=True)
+            traced[workload] = {}
+            for side in ("parent", "change"):
+                res = run_bench(trees[side], workload, seeds[0], args.seconds, 1)["result"]
+                traced[workload][side] = {
+                    "correct": res.get("correct"), "returncode": res["returncode"],
+                    "metrics": {k: v["value"] for k, v in res.get("metrics", {}).items()},
+                }
 
     # what differs between runs or sides is recorded per run, or as the commits
-    for key in ("commit", "seed", "battery_order", "source_sha256"):
+    for key in ("commit", "workload", "seed", "battery_order", "source_sha256"):
         env.pop(key, None)
     doc = {
-        "workload": args.workload,
+        "workloads": args.workload,
         "seeds": seeds,
         "seconds": args.seconds,
         "environment": env,
@@ -161,27 +166,38 @@ def main(argv=None) -> int:
         "runs": runs,
         "traced": traced,
         "summary": {
-            str(seed): summarize([r for r in runs if r["seed"] == seed], better)
-            for seed in seeds
+            workload: {
+                str(seed): summarize(
+                    [r for r in runs if r["workload"] == workload and r["seed"] == seed], better
+                )
+                for seed in seeds
+            }
+            for workload in args.workload
         },
         "traced_summary": {
-            name: {"parent": traced["parent"]["metrics"].get(name),
-                   "change": traced["change"]["metrics"].get(name), "better": better[name]}
-            for name in better
-            if name in traced["parent"]["metrics"] or name in traced["change"]["metrics"]
+            workload: {
+                name: {"parent": sides["parent"]["metrics"].get(name),
+                       "change": sides["change"]["metrics"].get(name), "better": better[name]}
+                for name in better
+                if name in sides["parent"]["metrics"] or name in sides["change"]["metrics"]
+            }
+            for workload, sides in traced.items()
         },
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    for seed, summary in doc["summary"].items():
-        for name, row in summary.items():
-            p, c = row["parent"], row["change"]
-            print(f"seed {seed} {name}: parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]  "
-                  f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  "
-                  f"wins {row['wins']}/{row['pairs']}")
+    for workload, by_seed in doc["summary"].items():
+        for seed, summary in by_seed.items():
+            for name, row in summary.items():
+                p, c = row["parent"], row["change"]
+                print(f"{workload} seed {seed} {name}: parent {p['median']:.4g} "
+                      f"[{p['q1']:.4g}, {p['q3']:.4g}]  change {c['median']:.4g} "
+                      f"[{c['q1']:.4g}, {c['q3']:.4g}]  wins {row['wins']}/{row['pairs']}")
     ok = all(r["correct"] and r["returncode"] == 0 for r in runs)
-    ok = ok and all(t["correct"] and t["returncode"] == 0 for t in traced.values())
+    ok = ok and all(
+        t["correct"] and t["returncode"] == 0 for sides in traced.values() for t in sides.values()
+    )
     return 0 if ok else 1
 
 

@@ -490,9 +490,10 @@ _SCAN_COLUMNS = (
     "simulated_mean_tv",
     "exhaustive_rate",
     "achieved_tv",
+    "expected_type_tv",
     "frontier_rate",
+    "converse_gap",
     "deficit",
-    "slack",
     "flagged",
     "partial_blocklength",
 )
@@ -503,19 +504,15 @@ def cmd_oracle(spec: ProblemSpec, out_dir: str, seed: Optional[int]) -> int:
     _require(spec, {"n_grid": spec.n_grid, "delta_grid": spec.delta_grid})
     if spec.network != "two_node":
         raise SpecError(["network: the oracle scan covers two_node instances only"])
-    budget = spec.oracle_budget
-    if budget is None:
-        budget = oc.DEFAULT_CODE_GUARD
+    budget = oc.DEFAULT_CODE_GUARD if spec.oracle_budget is None else spec.oracle_budget
     effective_seed = seed if seed is not None else (spec.mc_seed or 0)
-    scan = oc.theorem_consistency_scan(
-        spec.source,
-        spec.target,
-        spec.n_grid,
-        spec.delta_grid,
-        budget=budget,
-        config=spec.solver,
-        seed=effective_seed,
-    )
+    try:
+        scan = oc.theorem_consistency_scan(
+            spec.source, spec.target, spec.n_grid, spec.delta_grid,
+            budget=budget, config=spec.solver, seed=effective_seed,
+        )
+    except ValueError as exc:  # a blocklength within the budget, past ENUM_GUARD
+        raise SpecError([f"n_grid: {exc}"])
     doc = dict(
         scan,
         schema_version=SCHEMA_VERSION,

@@ -109,12 +109,16 @@ def _as_batch(x, n: int, x_size: int) -> np.ndarray:
     return arr
 
 
+def _power_exceeds(base: int, n: int, bound: int) -> bool:
+    """base^n > bound; for base >= 2, 2^n > bound once n >= bound.bit_length()."""
+    return base > 1 and n >= bound.bit_length() or base**n > bound
+
+
 def _enumerate_inputs(x_size: int, n: int) -> np.ndarray:
     """All |X|^n source sequences as an (|X|^n, n) array, lexicographic."""
-    total = x_size**n
-    if total > ENUM_GUARD:
+    if _power_exceeds(x_size, n, ENUM_GUARD):
         raise ValueError(f"{x_size}^{n} sequences exceed ENUM_GUARD {ENUM_GUARD}")
-    return np.indices((x_size,) * n).reshape(n, total).T.copy()
+    return np.indices((x_size,) * n).reshape(n, x_size**n).T.copy()
 
 
 def _type_counts(joint_codes: np.ndarray, num_cells: int) -> np.ndarray:
@@ -516,12 +520,12 @@ class CodebookCode:
         return flat[idx]
 
     def _walk(self, comp: tuple):
-        """The packed table in increasing TV order.
+        """The packed table in increasing TV order, up to the walk budget.
 
         Returns (count combos, start of each run of equal TV and one past
         the end, action words enumerated before each combo). Equal TVs keep
         index order, and the first entry is the exact floor over all action
-        blocks.
+        blocks. Levels ending past min(``_CANDIDATE_CAP``, m1) words are cut.
         """
         hit = self._walks.get(comp)
         if hit is None:
@@ -529,12 +533,14 @@ class CodebookCode:
             order = np.argsort(table, kind="stable")
             combos = np.stack(np.unravel_index(order, self._radix(comp)), axis=1)
             tv = table[order]
-            bounds = np.flatnonzero(tv[1:] != tv[:-1]) + 1
+            ends = np.concatenate([[0], np.flatnonzero(tv[1:] != tv[:-1]) + 1, [tv.size]])
             words = np.ones(tv.size)
             for a, k in enumerate(comp):
                 words *= np.array([math.comb(k, c) for c in range(k + 1)], dtype=float)[combos[:, a]]
             spent = np.concatenate([[0.0], np.cumsum(words)])
-            hit = (combos.tolist(), [0, *bounds.tolist(), tv.size], spent.tolist())
+            # every combo has a word, so spent rises and the kept levels are a prefix
+            ends = ends[spent[ends] <= min(_CANDIDATE_CAP, self.m1)]
+            hit = (combos[: ends[-1]].tolist(), ends.tolist(), spent[: ends[-1] + 1].tolist())
             self._walks[comp] = hit
         return hit
 
@@ -575,7 +581,7 @@ class CodebookCode:
                 object.__setattr__(self, "_index_cache", _WordIndex(self.packed_y, self.n))
         return self._index_cache
 
-    def _walk_batch(self, x_rows: np.ndarray, comp: tuple, budget: int) -> np.ndarray:
+    def _walk_batch(self, x_rows: np.ndarray, comp: tuple) -> np.ndarray:
         """Min-TV codewords of samples that share source composition comp.
 
         Walks the composition's table in increasing TV. The candidate action
@@ -583,8 +589,8 @@ class CodebookCode:
         each level's candidates for every live sample are built at once and
         looked up in the word index. A sample stops at the first level with
         a hit and takes the lowest message index among that level's hits.
-        Samples still live when the next level would take the candidates
-        enumerated past ``budget`` come back as -1, for the scan.
+        Samples still live after the last level of the cut walk (``_walk``)
+        come back as -1, for the scan.
         """
         g = x_rows.shape[0]
         m1 = self.packed_y.shape[0]
@@ -598,7 +604,7 @@ class CodebookCode:
         out = np.full(g, -1, dtype=np.int64)
         live = np.arange(g)
         for lo, hi in zip(bounds, bounds[1:]):
-            if live.size == 0 or spent[hi] > budget:
+            if live.size == 0:
                 break
             step = max(1, _WALK_CELLS // int(spent[hi] - spent[lo]))
             missed = []
@@ -665,10 +671,9 @@ class CodebookCode:
         Samples are grouped by source composition and each group walks its
         table (``_walk_batch``); samples the walk leaves, and those whose
         table has more than ``_WALK_CELLS`` entries, take the block scan.
-        The walk's budget is the cheaper of ``_CANDIDATE_CAP`` candidates
-        and one scan of the codebook. Returns (message indices, per-sample
-        count columns c1[a] for the chosen codeword) so callers can score
-        against other targets without touching the codebook again.
+        Returns (message indices, per-sample count columns c1[a] for the
+        chosen codeword) so callers can score against other targets without
+        touching the codebook again.
         """
         cb = self.packed_y
         masks = np.stack([_pack_bits(x_batch == a) for a in range(self.x_size)])
@@ -677,12 +682,11 @@ class CodebookCode:
         # when one scan call holds every sample against every word, the
         # walk's per-level calls cost more than all of its candidates save
         if x_batch.shape[0] * cb.shape[0] > _WALK_CELLS:
-            budget = min(_CANDIDATE_CAP, cb.shape[0])
             uniq, inv = np.unique(comps.T, axis=0, return_inverse=True)
             for g, comp in enumerate(uniq.tolist()):
                 if math.prod(c + 1 for c in comp) <= _WALK_CELLS:
                     rows = np.flatnonzero(inv.ravel() == g)
-                    out_idx[rows] = self._walk_batch(x_batch[rows], tuple(comp), budget)
+                    out_idx[rows] = self._walk_batch(x_batch[rows], tuple(comp))
         rest = np.flatnonzero(out_idx < 0)
         if rest.size:
             out_idx[rest] = self._scan_batch(masks[:, rest], comps[:, rest])
@@ -899,10 +903,6 @@ def _require_target_shape(code, target: JointPmf):
         )
 
 
-def _source_probs(p0: Pmf, inputs: np.ndarray) -> np.ndarray:
-    return p0.mass[inputs].prod(axis=1)
-
-
 def _joint_codes(code, x: np.ndarray, rows) -> np.ndarray:
     sizes = code.action_sizes
     jc = x * sizes[1] + rows[0]
@@ -919,7 +919,7 @@ def induced_distribution(code, p0: Pmf) -> dict:
     if p0.alphabet_size != code.x_size:
         raise ValueError("source alphabet does not match the code")
     inputs = _enumerate_inputs(code.x_size, code.n)
-    probs = _source_probs(p0, inputs)
+    probs = p0.mass[inputs].prod(axis=1)
     rows = code.decoded_rows(inputs)
     out = {}
     for i in range(inputs.shape[0]):
@@ -932,31 +932,26 @@ def induced_distribution(code, p0: Pmf) -> dict:
     return out
 
 
-def expected_tv_exact(code, p0: Pmf, target: JointPmf) -> float:
-    """E{TV(joint type of actions, target)} by full source enumeration."""
-    _require_target_shape(code, target)
+def _enumerated_types(code, p0: Pmf):
+    """Every source block's probability and joint action type counts."""
     if p0.alphabet_size != code.x_size:
         raise ValueError("source alphabet does not match the code")
     inputs = _enumerate_inputs(code.x_size, code.n)
-    probs = _source_probs(p0, inputs)
-    rows = code.decoded_rows(inputs)
-    jc = _joint_codes(code, inputs, rows)
-    counts = _type_counts(jc, int(np.prod(code.action_sizes)))
-    tvs = _tv_rows(counts, code.n, target.mass.ravel())
-    return float(probs @ tvs)
+    jc = _joint_codes(code, inputs, code.decoded_rows(inputs))
+    return p0.mass[inputs].prod(axis=1), _type_counts(jc, int(np.prod(code.action_sizes)))
+
+
+def expected_tv_exact(code, p0: Pmf, target: JointPmf) -> float:
+    """E{TV(joint type of actions, target)} by full source enumeration."""
+    _require_target_shape(code, target)
+    probs, counts = _enumerated_types(code, p0)
+    return float(probs @ _tv_rows(counts, code.n, target.mass.ravel()))
 
 
 def expected_type_of_code(code, p0: Pmf) -> JointPmf:
     """Exact expectation of the joint action type under the source."""
-    if p0.alphabet_size != code.x_size:
-        raise ValueError("source alphabet does not match the code")
-    inputs = _enumerate_inputs(code.x_size, code.n)
-    probs = _source_probs(p0, inputs)
-    rows = code.decoded_rows(inputs)
-    jc = _joint_codes(code, inputs, rows)
-    counts = _type_counts(jc, int(np.prod(code.action_sizes)))
-    mean = (probs @ counts) / code.n
-    return JointPmf(mean.reshape(code.action_sizes))
+    probs, counts = _enumerated_types(code, p0)
+    return JointPmf(((probs @ counts) / code.n).reshape(code.action_sizes))
 
 
 def _chunk_tvs(code, p0: Pmf, target: JointPmf, size: int, child) -> np.ndarray:

@@ -55,13 +55,16 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import xlogy
 
-from coordlab.prob_core import CondPmf, JointPmf, Pmf, TV_SLACK, compose
+from coordlab.prob_core import CondPmf, JointPmf, Pmf, TV_SLACK, compose, total_variation
 from coordlab.coordination_code import (
     TableCode,
+    _enumerate_inputs,
+    _power_exceeds,
     _tv_rows,
     _type_counts,
     build_codebook_code,
     expected_tv_exact,
+    expected_type_of_code,
     message_count,
 )
 from coordlab.region_solver import SolverConfig, solve_two_node
@@ -413,6 +416,8 @@ def exhaustive_best_code(
     The search is the cascade's: for each z-codeword set, the best set of
     (y-codeword, z-message) pairs. A two-node target is the cascade with one
     z symbol and one z message, and gets its code back as a two-node table.
+    A search space over ``guard`` or more than ENUM_GUARD source blocks is
+    refused by ValueError before any block is built.
     """
     start = time.perf_counter()
     cascade = target.mass.ndim == 3
@@ -422,11 +427,14 @@ def exhaustive_best_code(
     x_size = sizes[0]
     if p0.alphabet_size != x_size:
         raise ValueError("source and target sizes do not match")
-    x_blocks = _all_blocks(x_size, n)
-    probs = p0.mass[x_blocks].prod(axis=1)
-    uy, uz = sizes[1] ** n, sizes[2] ** n
     m1 = message_count(n, rate1)
     m2 = message_count(n, rate2) if cascade else 1
+    for a, m in ((sizes[1], m1), (sizes[2], m2)):
+        # past guard * m >= max(guard, m) words, the C(|A|^n, m) sets alone
+        # are over the guard: refused before the power is built
+        if a > 1 and _power_exceeds(a, n, guard * m):
+            raise ValueError(f"search space over {a}^{n} exceeds guard {guard}")
+    uy, uz = sizes[1] ** n, sizes[2] ** n
     e2 = min(m2, uz)
     e1 = min(m1, uy * e2)
     space = math.comb(uz, e2) * math.comb(uy * e2, e1)
@@ -435,6 +443,8 @@ def exhaustive_best_code(
             f"search space {space} exceeds guard {guard} (the guard argument, "
             f"default DEFAULT_CODE_GUARD {DEFAULT_CODE_GUARD})"
         )
+    x_blocks = _enumerate_inputs(x_size, n)
+    probs = p0.mass[x_blocks].prod(axis=1)
     y_blocks = _all_blocks(sizes[1], n)
     z_blocks = _all_blocks(sizes[2], n)
     # d3[i, y, z]: TV of the triple type to the target
@@ -498,10 +508,11 @@ def theorem_consistency_scan(
 
     Achievability: codes built from the boundary argmin conditional are
     simulated (exactly, at these sizes) against the original target.
-    Converse: for every blocklength and radius, the lowest-rate exhaustive
-    code meeting the radius is compared with the boundary rate at the TV it
-    actually achieved; the deficit envelope is fitted as c/sqrt(n) and rows
-    breaking their fitted slack are flagged.
+    Converse, exact at every n: M messages give log2 M >= H(M) >= I(X^n;
+    Y^n) >= n I(X_Q; Y_Q), with (X_Q, Y_Q) the code's expected joint type,
+    whose TV to the target, tv_E, is at most the expected TV (Jensen,
+    criterion 07). So rate >= R(tv_E) >= R1(tv_E) - gap; the lowest-rate
+    code meeting each radius is flagged when that deficit is over 1e-12.
     """
     if target.rows.ndim != 2:
         raise ValueError("consistency scan handles two-node targets")
@@ -519,6 +530,10 @@ def theorem_consistency_scan(
         return frontier_cache[key]
 
     for n in n_grid:
+        # m1 = 1 alone costs |Y|^n codes
+        if _power_exceeds(y_size, n, budget - evaluated):
+            partial = True
+            break
         u = y_size**n
         per_m1 = []
         for m1 in range(1, u + 1):
@@ -529,7 +544,7 @@ def theorem_consistency_scan(
             evaluated += cost
             rate = math.log2(m1) / n
             rep = exhaustive_best_code(p0, joint_target, n, rate, guard=budget)
-            per_m1.append((rate, rep.optimum))
+            per_m1.append((rate, rep.optimum, rep.optimizer))
         if partial and not per_m1:
             break
         for delta in delta_grid:
@@ -537,44 +552,36 @@ def theorem_consistency_scan(
             sim_code = build_codebook_code(
                 p0, pt.argmin_conditional, n, rate1=pt.R1, seed=seed
             )
-            sim_tv = expected_tv_exact(sim_code, p0, joint_target)
-            achieving = [(r, tv) for r, tv in per_m1 if tv <= delta + TV_SLACK]
+            # per_m1 runs in increasing rate
+            achieving = [e for e in per_m1 if e[1] <= delta + TV_SLACK]
+            ex_rate = ex_tv = tv_e = gap = deficit = None
             if achieving:
-                ex_rate, ex_tv = min(achieving)
-                deficit = max(0.0, frontier(ex_tv).R1 - ex_rate)
-            else:
-                ex_rate, ex_tv, deficit = None, None, None
+                ex_rate, ex_tv, code = achieving[0]
+                tv_e = total_variation(expected_type_of_code(code, p0), joint_target)
+                pt_e = frontier(tv_e)
+                gap = float(pt_e.certificate)
+                deficit = float(pt_e.R1) - gap - ex_rate
             rows_out.append(
                 {
                     "n": int(n),
                     "delta": float(delta),
-                    "simulated_mean_tv": float(sim_tv),
+                    "simulated_mean_tv": expected_tv_exact(sim_code, p0, joint_target),
                     "exhaustive_rate": ex_rate,
                     "frontier_rate": float(pt.R1),
                     "achieved_tv": ex_tv,
+                    "expected_type_tv": tv_e,
+                    "converse_gap": gap,
                     "deficit": deficit,
+                    "flagged": deficit is not None and deficit > 1e-12,
                     "partial_blocklength": partial,
                 }
             )
         if partial:
             break
 
-    c = 0.0
-    for row in rows_out:
-        if row["deficit"] is not None:
-            c = max(c, row["deficit"] * math.sqrt(row["n"]))
-    flags = []
-    for row in rows_out:
-        slack = c / math.sqrt(row["n"])
-        row["slack"] = slack
-        row["flagged"] = bool(
-            row["deficit"] is not None and row["deficit"] > slack + 1e-12
-        )
-        if row["flagged"]:
-            flags.append(row)
+    flags = [row for row in rows_out if row["flagged"]]
     return {
         "rows": rows_out,
-        "slack_coefficient": c,
         "flag_count": len(flags),
         "flags": flags,
         "partial": partial,

@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import csv
+import io
 import json
 import math
 import os
@@ -354,6 +356,52 @@ def test_mutated_spec_bytes_load_or_raise_spec_error(raw):
             assert isinstance(spec, cli.ProblemSpec)
 
 
+# Sizes for runs come from fixed pools. The small ones finish in
+# milliseconds; each hostile one meets a bound before any work is done:
+# n >= 10^6 with at least 50 samples is over MAX_HELD_SYMBOLS, and |Y|^n
+# is over any budget below 2^n; samples past MAX_SAMPLES and a budget of 0
+# are refused outright.
+RUN_FIELDS = {
+    ("n_grid",): st.lists(st.sampled_from([1, 2, 3, 10**6, 10**9]), min_size=1, max_size=2).map(sorted),
+    ("delta_grid",): st.lists(st.sampled_from([0.0, 0.1, 0.3, 1.0]), min_size=1, max_size=2).map(sorted),
+    ("rates", "R1_grid"): st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0, 10**6]), min_size=1, max_size=2),
+    ("rates", "R2"): st.sampled_from([0.0, 0.6, 3.0, 10**6]),
+    ("monte_carlo", "samples"): st.sampled_from([50, 200, cc.MAX_SAMPLES + 1]),
+    ("monte_carlo", "seed"): st.integers(0, 2**32),
+    ("oracle", "budget"): st.sampled_from([0, 40, 1000, 100_000]),
+    ("solver", "max_iterations"): st.sampled_from([1, 30, 300]),
+    ("source",): st.sampled_from([[0.5, 0.5], [0.9, 0.1], [1.0, 0.0]]),
+}
+# drawn in every example: the grids, the budget and the iteration cap set how
+# long a run takes
+ALWAYS = [("n_grid",), ("delta_grid",), ("oracle", "budget"), ("solver", "max_iterations")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_commands_on_mutated_specs_exit_cleanly(data):
+    doc = copy.deepcopy(SHIPPED[data.draw(st.sampled_from(sorted(SHIPPED)))])
+    extra = data.draw(st.lists(st.sampled_from(sorted(RUN_FIELDS)), max_size=3))
+    for path in ALWAYS + extra:
+        node = doc
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = data.draw(RUN_FIELDS[path])
+    for field_name in ("n_grid", "delta_grid", "rates", "monte_carlo"):
+        if data.draw(st.integers(0, 9)) == 0:
+            doc.pop(field_name, None)
+    command = data.draw(st.sampled_from(["region", "simulate", "oracle"]))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = os.path.join(tmp, "spec.json")
+        with open(spec, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stderr(err):
+            rc = cli.main([command, "--spec", spec, "--out", tmp, "--jobs", "1"])
+    assert rc in (cli.EXIT_OK, cli.EXIT_SCHEMA, cli.EXIT_GAP, cli.EXIT_PARTIAL), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
 class TestRegionCommand:
     def test_identity_frontier(self, tmp_path):
         spec = write_spec(tmp_path, base_spec())
@@ -553,6 +601,31 @@ class TestOracleCommand:
         rc = cli.main(["oracle", "--spec", spec, "--out", str(tmp_path)])
         assert rc == cli.EXIT_PARTIAL
         assert "budget" in capsys.readouterr().err
+
+    def test_hostile_blocklength_partial(self, tmp_path, capsys, traced):
+        # |Y|^n = 3^(10^9) is over the budget: refused before it is built
+        doc = base_spec(
+            alphabets={"x": 2, "y": 3},
+            target=[[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]],
+            n_grid=[1, 10**9],
+            oracle={"budget": 1000},
+        )
+        spec = write_spec(tmp_path, doc)
+        rc, peak = traced(lambda: cli.main(["oracle", "--spec", spec, "--out", str(tmp_path)]))
+        assert rc == cli.EXIT_PARTIAL and peak < 1 << 24
+        assert "budget 1000 exhausted after 7 codes" in capsys.readouterr().err
+        rows = read_rows(tmp_path / "scan.csv")
+        assert [row["n"] for row in rows] == ["1"] * 3
+
+    def test_unenumerable_sources_refused(self, tmp_path, capsys):
+        # one action symbol: every blocklength has a one-word universe, so
+        # the source blocks are what the scan cannot enumerate
+        doc = base_spec(alphabets={"x": 2, "y": 1}, target=[[1.0], [1.0]], n_grid=[10**9])
+        spec = write_spec(tmp_path, doc)
+        rc = cli.main(["oracle", "--spec", spec, "--out", str(tmp_path)])
+        assert rc == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "spec error: n_grid: 2^1000000000 sequences exceed ENUM_GUARD 4096" in err
 
     def test_cascade_not_supported(self, tmp_path, capsys):
         doc = base_spec(

@@ -368,8 +368,8 @@ def spy_packed_kernels(monkeypatch):
     walks, scanned = [], []
     walk, scan = cc.CodebookCode._walk_batch, cc.CodebookCode._scan_batch
 
-    def spy_walk(self, x_rows, comp, budget):
-        walks.append(walk(self, x_rows, comp, budget))
+    def spy_walk(self, x_rows, comp):
+        walks.append(walk(self, x_rows, comp))
         return walks[-1]
 
     def spy_scan(self, masks, comps):
@@ -563,6 +563,19 @@ class TestPackedBatch:
         got = dup.encode(x)
         assert np.array_equal(got, brute_force_encode(dup, x))
         assert got.max() <= base.m1 // 4
+
+    def test_walk_tables_end_at_the_budget(self):
+        # a composition's walk keeps only the levels a sample may enumerate
+        # before it takes the scan; the full tables once held every combo
+        p0 = pc.Pmf([0.5, 0.5])
+        code = cc.build_codebook_code(p0, pc.CondPmf.identity(2), 18, 0.95, seed=6)
+        x = source_draws(p0, 18, 300, seed=7)
+        assert np.array_equal(code.encode(x), brute_force_encode(code, x))
+        budget = min(cc._CANDIDATE_CAP, code.m1)
+        assert code._walks
+        for combos, bounds, spent in code._walks.values():
+            assert len(combos) == bounds[-1] and len(spent) == bounds[-1] + 1
+            assert spent[-1] <= budget
 
     def test_chunk_memory_is_bounded(self, traced):
         # a chunk of 4096 samples of a 439,075-word code, after a first

@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
 import math
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,7 +13,9 @@ from coordlab import instances as ins
 from coordlab import oracle as orc
 from coordlab import prob_core as pc
 from coordlab import region_solver as rs
+from coordlab.cli import load_problem_spec
 from coordlab.coordination_code import (
+    _enumerate_inputs,
     _tv_rows,
     _type_counts,
     block_repeat,
@@ -18,6 +23,9 @@ from coordlab.coordination_code import (
     expected_tv_monte_carlo,
     message_count,
 )
+
+
+SPEC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "specs")
 
 
 class TestGridMinMi:
@@ -180,7 +188,6 @@ class TestConsistencyScan:
         )
         for key in (
             "rows",
-            "slack_coefficient",
             "flag_count",
             "flags",
             "partial",
@@ -191,6 +198,10 @@ class TestConsistencyScan:
         assert out["flag_count"] == 0
         assert not out["partial"]
         assert len(out["rows"]) == 6
+        assert "slack_coefficient" not in out
+        for row in out["rows"]:
+            assert "slack" not in row
+            assert {"expected_type_tv", "converse_gap"} <= set(row)
 
     def test_saturated_radius_row(self, uniform_binary, identity_channel):
         out = orc.theorem_consistency_scan(
@@ -226,6 +237,69 @@ class TestConsistencyScan:
         a = orc.theorem_consistency_scan(uniform_binary, identity_channel, **kw)
         b = orc.theorem_consistency_scan(uniform_binary, identity_channel, **kw)
         assert a == b
+
+    def test_raised_frontier_is_flagged(self, monkeypatch):
+        # a frontier 1e-6 bits too high breaks the exact converse on the
+        # rows where a code meets it with equality
+        spec = load_problem_spec(os.path.join(SPEC_DIR, "two_node_identity.json"))
+        solve = orc.solve_two_node
+
+        def raised(*args, **kwargs):
+            pt = solve(*args, **kwargs)
+            return dataclasses.replace(pt, R1=pt.R1 + 1e-6)
+
+        monkeypatch.setattr(orc, "solve_two_node", raised)
+        out = orc.theorem_consistency_scan(
+            spec.source, spec.target, spec.n_grid, spec.delta_grid, budget=spec.oracle_budget
+        )
+        assert out["flag_count"] >= 1
+        assert out["flags"] == [row for row in out["rows"] if row["flagged"]]
+        for row in out["flags"]:
+            # codes that meet the unraised bound exactly: R = 0 at rate 0, or
+            # the n-bit identity code at R(0) = 1
+            assert row["deficit"] == pytest.approx(1e-6, abs=1e-12)
+
+    def test_deficit_is_the_exact_converse(self, uniform_binary, identity_channel):
+        out = orc.theorem_consistency_scan(
+            uniform_binary, identity_channel, n_grid=(1, 2, 3), delta_grid=(0.3, 0.5, 1.0)
+        )
+        assert out["flag_count"] == 0
+        rows = [row for row in out["rows"] if row["exhaustive_rate"] is not None]
+        assert len(rows) == 8
+        for row in rows:
+            pt = rs.solve_two_node(uniform_binary, identity_channel, row["expected_type_tv"])
+            assert row["converse_gap"] == pt.certificate
+            assert row["deficit"] == pt.R1 - pt.certificate - row["exhaustive_rate"]
+            # Jensen: the expected type is no farther than the expected TV
+            assert row["expected_type_tv"] <= row["achieved_tv"] + 1e-12
+
+
+class TestHostileBlocklengths:
+    """A blocklength past a bound is refused before the power is built."""
+
+    def test_scan_is_partial_at_once(self, uniform_binary, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("search started past the budget")
+
+        monkeypatch.setattr(orc, "exhaustive_best_code", boom)
+        ternary = pc.CondPmf([[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]])
+        start = time.perf_counter()
+        out = orc.theorem_consistency_scan(
+            uniform_binary, ternary, n_grid=(10**9,), delta_grid=(0.5,), budget=1000
+        )
+        assert time.perf_counter() - start < 1.0
+        assert out["partial"] and out["rows"] == [] and out["evaluated_codes"] == 0
+
+    def test_direct_calls_raise_their_guard(self, uniform_binary, identity_joint):
+        message = r"^search space over 2\^1000000000 exceeds guard 10000000$"
+        with pytest.raises(ValueError, match=message):
+            orc.exhaustive_best_code(uniform_binary, identity_joint, 10**9, 0.0)
+        with pytest.raises(ValueError, match=r"^3\^1000000000 sequences exceed ENUM_GUARD 4096$"):
+            _enumerate_inputs(3, 10**9)
+        # one action symbol makes a one-word universe: the source blocks refuse
+        single = pc.JointPmf([[0.5], [0.5]])
+        with pytest.raises(ValueError, match=r"^2\^1000000000 sequences exceed ENUM_GUARD"):
+            orc.exhaustive_best_code(uniform_binary, single, 10**9, 0.0)
 
 
 # -- batched searches against the per-combination and unpruned loops ------
