@@ -51,7 +51,6 @@ _TOP_LEVEL_KEYS = {
     "solver",
     "monte_carlo",
     "oracle",
-    "output",
 }
 _SOLVER_KEYS = {
     "duality_gap_tol",
@@ -81,7 +80,6 @@ class ProblemSpec:
     mc_samples: Optional[int]
     mc_seed: Optional[int]
     oracle_budget: Optional[int]
-    output_dir: Optional[str]
 
     def instance_json(self) -> dict:
         return {
@@ -238,13 +236,6 @@ def parse_problem_spec(doc) -> ProblemSpec:
     raw = _section(doc, "oracle", ("budget",), errors)
     oracle_budget = _int_field(raw, "oracle.budget", 0, errors)
 
-    output_dir = None
-    raw = _section(doc, "output", ("dir",), errors)
-    if "dir" in raw and not isinstance(raw["dir"], str):
-        errors.append("output.dir: expected a string")
-    else:
-        output_dir = raw.get("dir")
-
     if errors:
         raise SpecError(errors)
     return ProblemSpec(
@@ -259,7 +250,6 @@ def parse_problem_spec(doc) -> ProblemSpec:
         mc_samples=mc_samples,
         mc_seed=mc_seed,
         oracle_budget=oracle_budget,
-        output_dir=output_dir,
     )
 
 
@@ -511,7 +501,7 @@ def cmd_oracle(spec: ProblemSpec, out_dir: str, seed: Optional[int]) -> int:
             spec.source, spec.target, spec.n_grid, spec.delta_grid,
             budget=budget, config=spec.solver, seed=effective_seed,
         )
-    except ValueError as exc:  # a blocklength within the budget, past ENUM_GUARD
+    except ValueError as exc:  # within the budget, past ENUM_GUARD or MAX_CODE_TABLE
         raise SpecError([f"n_grid: {exc}"])
     doc = dict(
         scan,
@@ -569,26 +559,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, needs_spec=True):
+    def add(name, help_text, seed=False, jobs=False):
         p = sub.add_parser(name, help=help_text)
-        if needs_spec:
-            p.add_argument("--spec", required=True, help="problem spec JSON file")
-            p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--spec", required=True, help="problem spec JSON file")
+        p.add_argument("--out", default=".", help="output directory")
+        if seed:
             p.add_argument(
                 "--seed", type=int, default=None, help="overrides the spec seed"
             )
+        if jobs:
             p.add_argument(
                 "--jobs",
                 type=int,
                 default=None,
                 help="worker count (default: COORDLAB_JOBS or 1)",
             )
-        return p
 
     add("region", "solve the rate region over the spec's delta grid")
-    add("simulate", "Monte-Carlo codebook codes over the (n, rate) grid")
-    add("oracle", "exhaustive small-instance consistency scan")
-    add("check", "run acceptance criteria 01-08 and 10", needs_spec=False)
+    add("simulate", "Monte-Carlo codebook codes over the (n, rate) grid", seed=True, jobs=True)
+    add("oracle", "exhaustive small-instance consistency scan", seed=True)
+    sub.add_parser("check", help="run acceptance criteria 01-08 and 10")
     return parser
 
 
@@ -598,11 +588,10 @@ def main(argv=None) -> int:
         if args.command == "check":
             return cmd_check()
         spec = load_problem_spec(args.spec)
-        jobs = _resolve_jobs(args.jobs)
         if args.command == "region":
             return cmd_region(spec, args.out)
         if args.command == "simulate":
-            return cmd_simulate(spec, args.out, args.seed, jobs)
+            return cmd_simulate(spec, args.out, args.seed, _resolve_jobs(args.jobs))
         return cmd_oracle(spec, args.out, args.seed)
     except SpecError as exc:
         for message in exc.messages:

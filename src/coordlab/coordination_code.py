@@ -15,18 +15,18 @@ scoring a codeword is then an integer index and one lookup, and the chosen
 message (minimum TV, lowest index on float-equal ties) is exactly what a
 per-codeword float TV would give.
 
-- Binary codebooks (n <= 64) are uint64 bitmasks; a word's index comes from
-  popcounts. The samples of a Monte-Carlo chunk are grouped by source
-  composition, and each group walks its table in increasing TV: a level's
-  candidate words for every live sample are built at once and looked up in
-  one call to the word index, and a sample stops at its first level with a
-  hit. Samples whose walk would enumerate more words than a scan of the
-  codebook costs take a batched block scan instead, each leaving it at its
-  table's floor.
-- Symbol-row codebooks (larger action alphabets, cascades) get their table
-  index from one small matmul of per-sample place values with the
-  codewords' one-hot rows; compositions whose table would be too large take
-  the per-codeword loop.
+- Binary codebooks (n <= 64) are uint64 bitmasks. The samples of a
+  Monte-Carlo chunk are grouped by source composition, and each group walks
+  its table in increasing TV: a level's candidate words for every live
+  sample are built at once and looked up in one call to the word index,
+  and a sample stops at its first level with a hit.
+- Every other sample, of either layout, takes one block scan. A codeword's
+  table index is a sum of per-sample place values over its counted symbols
+  (a packed word's ones, a symbol row's symbols but the last), so a block
+  of codewords, as bit or one-hot rows, is scored by one float32 matmul; a
+  sample leaves the scan at the first block that reaches its table's
+  floor. Compositions whose table would be too large take the
+  per-codeword loop.
 """
 
 from __future__ import annotations
@@ -52,16 +52,18 @@ MAX_SAMPLE_SYMBOLS = 1 << 32   # n * samples: source symbols one estimate draws
 MAX_BUILD_SYMBOLS = 1 << 33    # n * (m1 [+ m2]): codeword symbols one build draws
 MAX_HELD_SYMBOLS = 1 << 24     # symbols one array holds: a Monte-Carlo chunk, a symbol-row codebook
 MAX_JOBS = 32                  # Monte-Carlo worker threads
-_PACKED_SCAN_BLOCK = 1 << 16   # codewords per block in the early-exit scan
+_INDEX_BLOCK = 1 << 16         # codewords per block of the word-index build
 _WALK_CELLS = 1 << 16          # samples*candidates (or *codewords) per packed batch
 # Candidates a sample may enumerate before it takes the scan. Past it, the
 # early-exit scan was cheaper on the identity target at n = 24, 28 and 32
 # and on a ternary source at n = 24 (2-core Xeon, 400-1000 samples).
 _CANDIDATE_CAP = 1 << 13
 _INDEX_BITS = 20               # word-index tables have 2^20 entries (4 MB): dense up to n = 20
-_SYMBOL_TABLE_CAP = 1 << 20    # max entries of one symbol-row TV table
-_SYMBOL_BLOCK = 1024           # codewords per one-hot block of the symbol kernel
-# Multiply-adds per symbol-kernel matmul. OpenBLAS runs a product of up to
+# Max entries of one TV table. The scan's float32 matmul sums integers
+# below it, exact while it is at most 2^24.
+_TV_TABLE_CAP = 1 << 20
+_SCAN_BLOCK = 1024             # codewords per block of the min-TV scan
+# Multiply-adds per scan matmul. OpenBLAS runs a product of up to
 # 4 * 65536 on the calling thread; threaded small products stall whenever a
 # helper thread is descheduled, which on a shared host made them 10-100x slower.
 _MATMUL_MAX = 1 << 18
@@ -261,8 +263,8 @@ class _WordIndex:
         shift = max(1, (m - 1).bit_length())
         if n + shift <= 64:
             keys = np.left_shift(words, np.uint64(shift))
-            for lo in range(0, m, _PACKED_SCAN_BLOCK):
-                hi = min(lo + _PACKED_SCAN_BLOCK, m)
+            for lo in range(0, m, _INDEX_BLOCK):
+                hi = min(lo + _INDEX_BLOCK, m)
                 keys[lo:hi] |= np.arange(lo, hi, dtype=np.uint64)
             keys.sort()
         else:
@@ -276,8 +278,8 @@ class _WordIndex:
         # binary search cannot overflow. Sorted keys put each block's top
         # bits in one contiguous range.
         starts = np.zeros((1 << _INDEX_BITS) + 1, dtype=np.int32 if m < 1 << 30 else np.int64)
-        for lo in range(0, m, _PACKED_SCAN_BLOCK):
-            top = (keys[lo : lo + _PACKED_SCAN_BLOCK] >> (self.shift + self.drop)).astype(np.intp)
+        for lo in range(0, m, _INDEX_BLOCK):
+            top = (keys[lo : lo + _INDEX_BLOCK] >> (self.shift + self.drop)).astype(np.intp)
             starts[top[0] + 1 : top[-1] + 2] += np.bincount(top - top[0]).astype(starts.dtype)
         self.depth = int(starts.max()).bit_length()  # halvings of the longest run
         self.starts = np.cumsum(starts, out=starts)
@@ -435,20 +437,20 @@ class CodebookCode:
         Entries come from the encoders' own float expressions
         (``_tv_from_c1`` for packed codes, ``_tv_rows`` for symbol rows), so
         scoring a codeword by lookup keeps every float and every tie
-        exactly. Unreachable entries of a symbol table are inf. None when a
-        symbol table would exceed ``_SYMBOL_TABLE_CAP`` entries.
+        exactly. Unreachable entries of a symbol table are inf. None when
+        the table would exceed ``_TV_TABLE_CAP`` entries.
         """
         if comp in self._tables:
             return self._tables[comp]
         radix = self._radix(comp)
-        if self.packed_y is not None:
+        if math.prod(radix) > _TV_TABLE_CAP:
+            table = None
+        elif self.packed_y is not None:
             nj0, nj1 = self._nj_split(self.target)
             grids = np.meshgrid(
                 *[np.arange(r, dtype=np.float64) for r in radix], indexing="ij"
             )
             table = self._tv_from_c1([g.ravel() for g in grids], comp, nj0, nj1)
-        elif math.prod(radix) > _SYMBOL_TABLE_CAP:
-            table = None
         else:
             k = self._row_symbols
             counts = np.zeros((1, 0), dtype=np.int64)
@@ -486,38 +488,7 @@ class CodebookCode:
         out[:, : k - 1] = place.reshape(self.x_size, k - 1)
         return out
 
-    def _batch_tables(self, comps: np.ndarray):
-        """Tables of the distinct compositions among the rows of comps.
-
-        Returns (row -> distinct index, place values of each distinct
-        composition, their tables concatenated, where each table starts in
-        it, which tables are over the cap).
-        """
-        uniq, inv = np.unique(comps, axis=0, return_inverse=True)
-        keys = [tuple(int(c) for c in u) for u in uniq]
-        tables = [self._table(key) for key in keys]
-        over = np.array([t is None for t in tables], dtype=bool)
-        sizes = [0 if t is None else t.size for t in tables]
-        starts = np.cumsum([0, *sizes[:-1]], dtype=np.int64)
-        flat = np.concatenate([t for t in tables if t is not None] or [np.empty(0)])
-        places = np.stack([self._strides(key) for key in keys])
-        return inv.ravel(), places, flat, starts, over
-
-    # -- packed kernels ---------------------------------------------------
-
-    def _packed_scores(self, words, ones, masks, base, coef, flat) -> np.ndarray:
-        """Table TV of every codeword against every sample: (S, W).
-
-        The index is base + Σ_a c1_a * place_a with c1 the ones of the word
-        on source symbol a's positions. The last symbol's place is 1 and its
-        ones are popcount(word) minus the others', so coef = place − 1 for
-        all symbols but the last.
-        """
-        idx = base[:, None] + ones[None, :]
-        for a in range(coef.shape[0]):
-            hits = np.bitwise_count(words[None, :] & masks[a][:, None])
-            idx += hits * coef[a][:, None]
-        return flat[idx]
+    # -- packed walk ------------------------------------------------------
 
     def _walk(self, comp: tuple):
         """The packed table in increasing TV order, up to the walk budget.
@@ -630,47 +601,13 @@ class CodebookCode:
             live = np.concatenate(missed)
         return out
 
-    def _scan_batch(self, masks: np.ndarray, comps: np.ndarray) -> np.ndarray:
-        """Min-TV codewords of samples by a block scan through the codebook.
-
-        Every live sample scores each block of codewords through its table;
-        a sample leaves at the first block that reaches its table's floor.
-        masks and comps are (A, S); one scoring call takes samples times
-        codewords within ``_WALK_CELLS``.
-        """
-        cb = self.packed_y
-        s = comps.shape[1]
-        inv, places, flat, starts, _ = self._batch_tables(comps.T)
-        floor = np.minimum.reduceat(flat, starts)[inv]
-        coef = (places[:, :-1] - 1)[inv].T  # (A - 1, S)
-        base = starts[inv]
-        best_tv = np.full(s, np.inf)
-        best_j = np.zeros(s, dtype=np.int64)
-        live = np.arange(s)
-        block = min(_PACKED_SCAN_BLOCK, cb.shape[0])
-        step = max(1, _WALK_CELLS // block)
-        for lo in range(0, cb.shape[0], block):
-            words = cb[lo : lo + block]
-            ones = np.bitwise_count(words).astype(np.int64)
-            for s0 in range(0, live.size, step):
-                rows = live[s0 : s0 + step]
-                tv = self._packed_scores(words, ones, masks[:, rows], base[rows], coef[:, rows], flat)
-                j = tv.argmin(axis=1)  # first minimum per sample
-                v = tv[np.arange(rows.size), j]
-                better = v < best_tv[rows]
-                best_tv[rows[better]] = v[better]
-                best_j[rows[better]] = lo + j[better]
-            live = live[best_tv[live] > floor[live]]
-            if live.size == 0:
-                break
-        return best_j
-
     def _encode_packed(self, x_batch: np.ndarray):
         """Min-TV encoding of binary-action batches.
 
         Samples are grouped by source composition and each group walks its
-        table (``_walk_batch``); samples the walk leaves, and those whose
-        table has more than ``_WALK_CELLS`` entries, take the block scan.
+        table (``_walk_batch``); samples the walk leaves, those whose table
+        has more than ``_WALK_CELLS`` (or ``_TV_TABLE_CAP``) entries, and
+        batches that skip the walk take the block scan (``_scan``).
         Returns (message indices, per-sample count columns c1[a] for the
         chosen codeword) so callers can score against other targets without
         touching the codebook again.
@@ -684,19 +621,19 @@ class CodebookCode:
         if x_batch.shape[0] * cb.shape[0] > _WALK_CELLS:
             uniq, inv = np.unique(comps.T, axis=0, return_inverse=True)
             for g, comp in enumerate(uniq.tolist()):
-                if math.prod(c + 1 for c in comp) <= _WALK_CELLS:
+                if math.prod(c + 1 for c in comp) <= min(_WALK_CELLS, _TV_TABLE_CAP):
                     rows = np.flatnonzero(inv.ravel() == g)
                     out_idx[rows] = self._walk_batch(x_batch[rows], tuple(comp))
         rest = np.flatnonzero(out_idx < 0)
         if rest.size:
-            out_idx[rest] = self._scan_batch(masks[:, rest], comps[:, rest])
+            out_idx[rest] = self._scan(x_batch[rest])
         chosen = cb[out_idx]
         out_c1 = np.stack(
             [np.bitwise_count(chosen & masks[a]) for a in range(self.x_size)]
         ).astype(np.float64)
         return out_idx, out_c1
 
-    # -- symbol-row kernels -----------------------------------------------
+    # -- block scan -------------------------------------------------------
 
     def _action_rows(self, lo: int, hi: int) -> np.ndarray:
         """Codeword rows lo..hi as one action symbol per position: y, or
@@ -706,61 +643,99 @@ class CodebookCode:
             rows = rows * self.z_size + self.symbols_z[self.recoder[lo:hi]]
         return rows
 
-    def _encode_symbols(self, x_batch: np.ndarray) -> np.ndarray:
-        """Min-TV encoding of symbol-row codebooks through the TV tables.
+    def _block_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Codewords lo..hi as float32 rows of their counted symbols: a
+        packed word's bits, or the one-hot rows of a symbol row's action
+        symbols but the last, (hi - lo, L)."""
+        if self.packed_y is not None:
+            return _unpack_bits(self.packed_y[lo:hi], self.n).astype(np.float32)
+        symbols = np.arange(self._row_symbols - 1)[None, :, None]
+        onehot = self._action_rows(lo, hi)[:, None, :] == symbols
+        return onehot.astype(np.float32).reshape(hi - lo, -1)
 
-        A codeword's table index is Σ_t place[x_t, u_t] over its action
-        symbols u; over a block of codewords and a batch of samples that is
-        one matmul of the per-sample place rows with the codewords' one-hot
-        rows, exact in float32 because every partial sum is an integer below
-        ``_SYMBOL_TABLE_CAP``. Samples whose table is over the cap take
-        the per-codeword reference loop.
+    def _scan(self, x_batch: np.ndarray) -> np.ndarray:
+        """Min-TV codewords of a batch by a block scan through the codebook.
+
+        A codeword's table index is Σ_t place[x_t, u_t] over its counted
+        symbols u (``_block_rows``); over a block of codewords and a batch
+        of samples that is one matmul of the per-sample place lanes with
+        the codewords' rows, exact in float32 because every partial sum is
+        an integer below ``_TV_TABLE_CAP``. Each sample keeps the first
+        minimum within a block and a strictly lower one across blocks, and
+        leaves at the first block that reaches its table's floor. Samples
+        whose table is over the cap take the per-codeword reference loop.
         """
-        s = x_batch.shape[0]
-        k = self._row_symbols
-        m1 = self.symbols_y.shape[0]
-        comps = np.stack([(x_batch == a).sum(axis=1) for a in range(self.x_size)], axis=1)
-        inv, places, flat, starts, over = self._batch_tables(comps)
+        x = x_batch.astype(np.intp, copy=False)
+        s = x.shape[0]
+        comps = np.stack([(x == a).sum(axis=1) for a in range(self.x_size)], axis=1)
+        uniq, inv = np.unique(comps, axis=0, return_inverse=True)
+        keys = [tuple(int(c) for c in u) for u in uniq]
+        tables = [self._table(key) for key in keys]
+        fit = [i for i, t in enumerate(tables) if t is not None]
+        slot = np.full(len(keys), -1)
+        slot[fit] = np.arange(len(fit))
+        slot = slot[inv.ravel()]  # sample -> its table among the fitting ones
         out = np.zeros(s, dtype=np.int64)
-        over = over[inv]
+        over = slot < 0
         if over.any():
-            out[over] = self._encode_symbols_rowwise(x_batch[over])
+            out[over] = self._encode_rowwise(x[over])
         keep = np.flatnonzero(~over)
         if keep.size == 0:
             return out
-        inv = inv[keep]
-        base = starts[inv]
-        x = x_batch[keep]
-        lanes = places[inv[:, None], x][:, :, : k - 1]  # (S', n, K-1)
-        lanes = lanes.transpose(0, 2, 1).reshape(keep.size, -1).astype(np.float32)
-        symbols = np.arange(k - 1)[None, :, None]
+        x, slot = x[keep], slot[keep]
+        fitted = [tables[i] for i in fit]
+        base = np.cumsum([0] + [t.size for t in fitted[:-1]])[slot]
+        flat = np.concatenate(fitted)
+        floor = np.array([t.min() for t in fitted])[slot]
+        lanes = np.stack([self._strides(keys[i]) for i in fit])[slot[:, None], x]
+        if lanes.ndim == 3:  # (S, n, K): the last action symbol is not counted
+            lanes = lanes[:, :, :-1].transpose(0, 2, 1).reshape(keep.size, -1)
+        lanes = lanes.astype(np.float32)
         best_tv = np.full(keep.size, np.inf)
         best_j = np.zeros(keep.size, dtype=np.int64)
-        step = max(1, _MATMUL_MAX // (_SYMBOL_BLOCK * max(1, lanes.shape[1])))
-        for lo in range(0, m1, _SYMBOL_BLOCK):
-            hi = min(lo + _SYMBOL_BLOCK, m1)
-            rows = self._action_rows(lo, hi)
-            onehot = (rows[:, None, :] == symbols).astype(np.float32).reshape(hi - lo, -1)
+        m1 = self.m1
+        step = max(1, _MATMUL_MAX // (_SCAN_BLOCK * max(1, lanes.shape[1])))
+        # the per-sample arrays hold the live samples only, so that each
+        # matmul takes a slice of them
+        for lo in range(0, m1, _SCAN_BLOCK):
+            rows = self._block_rows(lo, min(lo + _SCAN_BLOCK, m1)).T
             for b0 in range(0, keep.size, step):
-                b1 = min(b0 + step, keep.size)
-                idx = (lanes[b0:b1] @ onehot.T).astype(np.int64)
-                idx += base[b0:b1, None]
-                tv = flat[idx]
-                j = tv.argmin(axis=1)
-                v = tv[np.arange(b1 - b0), j]
-                better = v < best_tv[b0:b1]
-                best_tv[b0:b1][better] = v[better]
-                best_j[b0:b1][better] = lo + j[better]
+                b = slice(b0, b0 + step)
+                tv = flat[(lanes[b] @ rows).astype(np.int64) + base[b, None]]
+                j = tv.argmin(axis=1)  # first minimum per sample
+                v = tv[np.arange(j.size), j]
+                better = v < best_tv[b]
+                best_tv[b][better] = v[better]
+                best_j[b][better] = lo + j[better]
+            done = best_tv <= floor
+            if done.any():
+                out[keep[done]] = best_j[done]
+                live = ~done
+                keep, lanes, base, floor, best_tv, best_j = (
+                    a[live] for a in (keep, lanes, base, floor, best_tv, best_j)
+                )
+                if keep.size == 0:
+                    return out
         out[keep] = best_j
         return out
 
-    def _encode_symbols_rowwise(self, x_batch: np.ndarray) -> np.ndarray:
-        """Reference encoder: the type and TV of every codeword, per sample."""
-        sizes = self.action_sizes
-        cells = int(np.prod(sizes))
+    def _encode_rowwise(self, x_batch: np.ndarray) -> np.ndarray:
+        """Reference encoder: the TV of every codeword, per sample, in the
+        layout's own float expression (``_tv_from_c1`` for packed codes,
+        ``_tv_rows`` of the type counts for symbol rows)."""
+        out = np.empty(x_batch.shape[0], dtype=np.int64)
+        if self.packed_y is not None:
+            nj0, nj1 = self._nj_split(self.target)
+            for i, x in enumerate(x_batch):
+                on = [x == a for a in range(self.x_size)]
+                masks = [_pack_bits(o[None, :])[0] for o in on]
+                c1 = [np.bitwise_count(self.packed_y & m).astype(np.float64) for m in masks]
+                comp = [int(o.sum()) for o in on]
+                out[i] = int(self._tv_from_c1(c1, comp, nj0, nj1).argmin())
+            return out
+        cells = int(np.prod(self.action_sizes))
         target_flat = self.target.mass.ravel()
         rows = self._action_rows(0, self.symbols_y.shape[0])
-        out = np.empty(x_batch.shape[0], dtype=np.int64)
         for i, x in enumerate(x_batch):
             counts = _type_counts(x[None, :] * self._row_symbols + rows, cells)
             out[i] = int(_tv_rows(counts, self.n, target_flat).argmin())
@@ -772,7 +747,7 @@ class CodebookCode:
             return np.empty(0, dtype=np.int64)
         if self.packed_y is not None:
             return self._encode_packed(x)[0]
-        return self._encode_symbols(x)
+        return self._scan(x)
 
     def codeword_rows(self, messages: np.ndarray) -> np.ndarray:
         if self.packed_y is not None:

@@ -75,6 +75,10 @@ _GRID_CELL_CAP = 20_000_000   # combos or candidate rows beyond this refuse to r
 _TILE_CELLS = 1024        # grid cells per tile
 _BOUND_SLACK = 1e-9       # covers rounding in a tile bound; values are O(1) bits
 _SEARCH_FLOATS = 1 << 17  # floats in one level or one block of the code search
+_TABLE_SLICE = 1 << 16    # block symbols per slice of the code search's TV table
+# TV-table entries (8 bytes each) one code search may hold: |X|^n |Y|^n |Z|^n.
+# The binary identity at n = 11 with one message needs 2^22.
+MAX_CODE_TABLE = 1 << 22
 DEFAULT_CODE_GUARD = 10_000_000
 
 
@@ -306,6 +310,27 @@ def _all_blocks(size: int, n: int) -> np.ndarray:
     return np.indices((size,) * n).reshape(n, size**n).T.copy()
 
 
+def _code_tv_table(x_blocks, y_blocks, z_blocks, sizes, target_flat) -> np.ndarray:
+    """TV to the target of every (y, z, x) block triple's joint type, as
+    an (|Y|^n, |Z|^n, |X|^n) array: each codeword pair's row over the source
+    blocks, the layout the code search reads.
+
+    Built in slices of at most ``_TABLE_SLICE`` block symbols of the flat
+    (y, z, x) index; each position's joint symbol is (x·|Y| + y)·|Z| + z.
+    """
+    n = x_blocks.shape[1]
+    nx, uy, uz = x_blocks.shape[0], y_blocks.shape[0], z_blocks.shape[0]
+    table = np.empty(uy * uz * nx)
+    step = max(1, _TABLE_SLICE // n)
+    for lo in range(0, table.size, step):
+        yz, i = np.divmod(np.arange(lo, min(lo + step, table.size)), nx)
+        y, z = np.divmod(yz, uz)
+        jc = (x_blocks[i] * sizes[1] + y_blocks[y]) * sizes[2] + z_blocks[z]
+        counts = _type_counts(jc, target_flat.size)
+        table[lo : lo + i.size] = _tv_rows(counts, n, target_flat)
+    return table.reshape(uy, uz, nx)
+
+
 def _best_codeword_set(
     d: np.ndarray, probs: np.ndarray, k: int
 ) -> tuple[float, Optional[tuple]]:
@@ -416,8 +441,9 @@ def exhaustive_best_code(
     The search is the cascade's: for each z-codeword set, the best set of
     (y-codeword, z-message) pairs. A two-node target is the cascade with one
     z symbol and one z message, and gets its code back as a two-node table.
-    A search space over ``guard`` or more than ENUM_GUARD source blocks is
-    refused by ValueError before any block is built.
+    A search space over ``guard``, more than ENUM_GUARD source blocks or a
+    TV table over ``MAX_CODE_TABLE`` entries is refused by ValueError
+    before any codeword block is built.
     """
     start = time.perf_counter()
     cascade = target.mass.ndim == 3
@@ -444,27 +470,27 @@ def exhaustive_best_code(
             f"default DEFAULT_CODE_GUARD {DEFAULT_CODE_GUARD})"
         )
     x_blocks = _enumerate_inputs(x_size, n)
+    nx = x_blocks.shape[0]
+    if nx * uy * uz > MAX_CODE_TABLE:
+        raise ValueError(
+            f"TV table of {nx}*{uy}*{uz} entries exceeds MAX_CODE_TABLE {MAX_CODE_TABLE}"
+        )
     probs = p0.mass[x_blocks].prod(axis=1)
     y_blocks = _all_blocks(sizes[1], n)
     z_blocks = _all_blocks(sizes[2], n)
-    # d3[i, y, z]: TV of the triple type to the target
-    nx = x_blocks.shape[0]
-    jc = (
-        (x_blocks[:, None, None, :] * sizes[1] + y_blocks[None, :, None, :]) * sizes[2]
-        + z_blocks[None, None, :, :]
-    )
-    counts = _type_counts(jc.reshape(-1, n), target.mass.size)
-    d3 = _tv_rows(counts, n, target.mass.ravel()).reshape(nx, uy, uz)
+    # tv[y, z, i]: TV of the triple type to the target; a z-codeword set's
+    # columns are the (y, z) rows, y-major
+    tv = _code_tv_table(x_blocks, y_blocks, z_blocks, sizes, target.mass.ravel())
     best = (np.inf, None, None, None)
     for z_combo in itertools.combinations(range(uz), e2):
-        dp = d3[:, :, list(z_combo)].reshape(nx, -1)
-        val, p_combo = _best_codeword_set(dp, probs, e1)
+        cols = tv[:, list(z_combo)].reshape(-1, nx)
+        val, p_combo = _best_codeword_set(cols.T, probs, e1)
         if val < best[0]:
-            best = (val, z_combo, p_combo, dp)
-    val, z_combo, p_combo, dp = best
+            best = (val, z_combo, p_combo, cols)
+    val, z_combo, p_combo, cols = best
     pairs = [(y, zi) for y in range(uy) for zi in range(e2)]
     chosen = [pairs[i] for i in p_combo]
-    enc = np.argmin(dp[:, p_combo], axis=1)
+    enc = np.argmin(cols[list(p_combo)], axis=0)
     dec_y = y_blocks[[y for y, _ in chosen]]
     rec = np.array([zi for _, zi in chosen], dtype=np.int64)
     dec_z = z_blocks[list(z_combo)]

@@ -119,9 +119,9 @@ def test_criterion_11_byte_determinism(tmp_path):
         blobs = []
         for variant, jobs in (("a", "1"), ("b", "3")):
             out = tmp_path / f"{label}_{variant}"
-            code = cli.main(
-                argv + ["--spec", str(spec), "--out", str(out), "--jobs", jobs]
-            )
+            # only simulate has workers; the other commands run twice alike
+            workers = ["--jobs", jobs] if label == "simulate" else []
+            code = cli.main(argv + ["--spec", str(spec), "--out", str(out), *workers])
             assert code == 0, f"{label} exited {code}"
             blobs.append(
                 tuple((out / f"{stem}.{ext}").read_bytes() for ext in ("csv", "json"))
@@ -132,5 +132,5 @@ def test_criterion_11_byte_determinism(tmp_path):
         11,
         "region/simulate/oracle outputs byte-identical across runs and jobs",
         not mismatches,
-        f"3 commands x 2 runs at jobs 1 and 3, mismatches: {mismatches or 'none'}",
+        f"3 commands x 2 runs, simulate at jobs 1 and 3, mismatches: {mismatches or 'none'}",
     )

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from coordlab import cli
 from coordlab import coordination_code as cc
 from coordlab import instances
+from coordlab import oracle as oc
 from coordlab import prob_core as pc
 
 
@@ -95,7 +96,6 @@ class TestSpecParsing:
             solver="x",
             monte_carlo={"samples": 0, "seed": -1, "z": 1},
             oracle={"budget": 2.5},
-            output={"x": 1, "dir": None},
         )
         with pytest.raises(cli.SpecError) as exc:
             cli.parse_problem_spec(doc)
@@ -106,15 +106,11 @@ class TestSpecParsing:
             "monte_carlo.samples: expected an integer >= 1",
             "monte_carlo.seed: expected an integer >= 0",
             "oracle.budget: expected an integer >= 0",
-            "output.x: unknown field",
-            "output.dir: expected a string",
         ]
         for fields, message in (
             ({"monte_carlo": [400]}, "monte_carlo: expected an object"),
             ({"monte_carlo": {"seed": True}}, "monte_carlo.seed: expected an integer >= 0"),
             ({"oracle": {"budget": -1}}, "oracle.budget: expected an integer >= 0"),
-            ({"output": {"dir": None}}, "output.dir: expected a string"),
-            ({"output": None}, "output: expected an object"),
         ):
             with pytest.raises(cli.SpecError) as exc:
                 cli.parse_problem_spec(base_spec(**fields))
@@ -397,7 +393,8 @@ def test_commands_on_mutated_specs_exit_cleanly(data):
         with open(spec, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         with contextlib.redirect_stderr(err):
-            rc = cli.main([command, "--spec", spec, "--out", tmp, "--jobs", "1"])
+            jobs = ["--jobs", "1"] if command == "simulate" else []
+            rc = cli.main([command, "--spec", spec, "--out", tmp, *jobs])
     assert rc in (cli.EXIT_OK, cli.EXIT_SCHEMA, cli.EXIT_GAP, cli.EXIT_PARTIAL), err.getvalue()
     assert "Traceback" not in err.getvalue()
 
@@ -583,6 +580,30 @@ class TestSimulateCommand:
         rc = cli.main(["simulate", "--spec", spec, "--out", str(tmp_path)])
         assert rc == cli.EXIT_SCHEMA
         assert "COORDLAB_JOBS" in capsys.readouterr().err
+        # only simulate has workers; the other commands do not read the variable
+        assert cli.main(["region", "--spec", spec, "--out", str(tmp_path)]) == cli.EXIT_OK
+        assert cli.main(["oracle", "--spec", spec, "--out", str(tmp_path)]) == cli.EXIT_OK
+
+
+class TestUnusedInputsRefused:
+    """The CLI takes only what a command uses."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("region", "--jobs"), ("region", "--seed"), ("oracle", "--jobs")],
+    )
+    def test_flag_a_command_ignores(self, tmp_path, capsys, command, flag):
+        spec = write_spec(tmp_path, base_spec())
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--spec", spec, flag, "1"])
+        assert exc.value.code == cli.EXIT_SCHEMA
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_output_section_is_unknown(self):
+        # output.dir was parsed but never read: the files go to --out
+        with pytest.raises(cli.SpecError) as exc:
+            cli.parse_problem_spec(base_spec(output={"dir": "elsewhere"}))
+        assert exc.value.messages == ["output: unknown field"]
 
 
 class TestOracleCommand:
@@ -626,6 +647,12 @@ class TestOracleCommand:
         assert rc == cli.EXIT_SCHEMA
         err = capsys.readouterr().err
         assert "spec error: n_grid: 2^1000000000 sequences exceed ENUM_GUARD 4096" in err
+
+    def test_table_past_its_bound_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(oc, "MAX_CODE_TABLE", 4**3 - 1)
+        spec = write_spec(tmp_path, base_spec(n_grid=[1, 2, 3]))
+        assert cli.main(["oracle", "--spec", spec, "--out", str(tmp_path)]) == cli.EXIT_SCHEMA
+        assert "exceeds MAX_CODE_TABLE 63" in capsys.readouterr().err
 
     def test_cascade_not_supported(self, tmp_path, capsys):
         doc = base_spec(

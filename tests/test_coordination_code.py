@@ -366,18 +366,18 @@ def spy_packed_kernels(monkeypatch):
     walk result so far, concatenated, with -1 for samples left to the scan;
     the sample count of each scan call)."""
     walks, scanned = [], []
-    walk, scan = cc.CodebookCode._walk_batch, cc.CodebookCode._scan_batch
+    walk, scan = cc.CodebookCode._walk_batch, cc.CodebookCode._scan
 
     def spy_walk(self, x_rows, comp):
         walks.append(walk(self, x_rows, comp))
         return walks[-1]
 
-    def spy_scan(self, masks, comps):
-        scanned.append(comps.shape[1])
-        return scan(self, masks, comps)
+    def spy_scan(self, x_batch):
+        scanned.append(x_batch.shape[0])
+        return scan(self, x_batch)
 
     monkeypatch.setattr(cc.CodebookCode, "_walk_batch", spy_walk)
-    monkeypatch.setattr(cc.CodebookCode, "_scan_batch", spy_scan)
+    monkeypatch.setattr(cc.CodebookCode, "_scan", spy_scan)
     return (lambda: np.concatenate(walks or [np.empty(0, dtype=np.int64)])), scanned
 
 
@@ -426,7 +426,7 @@ class TestEncoderPaths:
         p0 = pc.Pmf([0.5, 0.5])
         code = cc.build_codebook_code(p0, pc.CondPmf.identity(2), 18, 0.95, seed=6)
         monkeypatch.setattr(cc, "_CANDIDATE_CAP", 0)
-        monkeypatch.setattr(cc, "_PACKED_SCAN_BLOCK", 5000)  # many blocks
+        monkeypatch.setattr(cc, "_SCAN_BLOCK", 5000)  # many blocks
         x = source_draws(p0, 18, 30, seed=7)
         assert np.array_equal(code.encode(x), brute_force_encode(code, x))
 
@@ -443,7 +443,7 @@ class TestEncoderPaths:
         inputs = cc._enumerate_inputs(3, 7)
         want = brute_force_encode(code, inputs)
         assert np.array_equal(code.encode(inputs), want)
-        assert np.array_equal(code._encode_symbols_rowwise(inputs), want)
+        assert np.array_equal(code._encode_rowwise(inputs), want)
 
     def test_cascade_symbol_rows(self):
         p0 = pc.Pmf([0.5, 0.5])
@@ -454,12 +454,56 @@ class TestEncoderPaths:
     def test_symbol_table_cap_fallback(self, monkeypatch):
         # (2,2,2) needs 3^6 = 729 entries, (6,0,0) needs 49: a cap between
         # them sends some compositions through the per-codeword loop
-        monkeypatch.setattr(cc, "_SYMBOL_TABLE_CAP", 300)
+        monkeypatch.setattr(cc, "_TV_TABLE_CAP", 300)
         code = cc.build_codebook_code(TERNARY_P0, TERNARY_Q, 6, 1.0, seed=11)
         inputs = cc._enumerate_inputs(3, 6)
         assert np.array_equal(code.encode(inputs), brute_force_encode(code, inputs))
         assert any(t is None for t in code._tables.values())
         assert any(t is not None for t in code._tables.values())
+
+    def test_packed_table_cap_fallback(self, monkeypatch):
+        # (2,2,3) needs 3 * 3 * 4 = 36 entries, (7,0,0) needs 8: a cap
+        # between them sends some compositions through the per-codeword
+        # loop, out of the walk and out of the scan alike
+        monkeypatch.setattr(cc, "_TV_TABLE_CAP", 20)
+        q = pc.CondPmf([[0.9, 0.1], [0.3, 0.7], [0.5, 0.5]])
+        code = cc.build_codebook_code(TERNARY_P0, q, 7, 0.9, seed=8)
+        assert code.packed_y is not None
+        inputs = cc._enumerate_inputs(3, 7)
+        assert np.array_equal(code.encode(inputs), brute_force_encode(code, inputs))
+        assert any(t is None for t in code._tables.values())
+        assert any(t is not None for t in code._tables.values())
+
+    def test_symbol_scan_leaves_at_the_floor(self, monkeypatch):
+        # the samples have the source's own composition, so the codeword
+        # y = x has TV exactly 0, its table's floor; each sample's one sits
+        # in the first of 128 blocks of 8 rows
+        p0 = pc.Pmf([0.5, 0.3, 0.2])
+        base = cc.build_codebook_code(p0, pc.CondPmf.identity(3), 10, 1.0, seed=17)
+        rng = np.random.default_rng(18)
+        x = np.array([rng.permutation([0] * 5 + [1] * 3 + [2] * 2) for _ in range(8)])
+        rows = np.concatenate([x, base.symbols_y[8:]])
+        code = cc.CodebookCode(
+            n=10, x_size=3, y_size=3, rate1=base.rate1, target=base.target, symbols_y=rows
+        )
+        monkeypatch.setattr(cc, "_SCAN_BLOCK", 8)
+        blocks = []
+        block_rows = cc.CodebookCode._block_rows
+
+        def spy(self, lo, hi):
+            blocks.append((lo, hi))
+            return block_rows(self, lo, hi)
+
+        monkeypatch.setattr(cc.CodebookCode, "_block_rows", spy)
+        assert np.array_equal(code.encode(x), brute_force_encode(code, x))
+        assert blocks == [(0, 8)]
+
+    def test_one_action_symbol(self):
+        # no counted symbol: every codeword scores the table's one entry
+        q = pc.CondPmf([[1.0], [1.0], [1.0]])
+        code = cc.build_codebook_code(TERNARY_P0, q, 4, 0.5, seed=19)
+        inputs = cc._enumerate_inputs(3, 4)
+        assert np.array_equal(code.encode(inputs), brute_force_encode(code, inputs))
 
     def test_duplicated_codewords(self, monkeypatch):
         p0 = pc.Pmf([0.5, 0.5])
@@ -471,7 +515,7 @@ class TestEncoderPaths:
         x = source_draws(p0, 18, 30, seed=13)
         assert np.array_equal(dup.encode(x), brute_force_encode(dup, x))
         # copies of one row fall in different codeword blocks
-        monkeypatch.setattr(cc, "_SYMBOL_BLOCK", 5)
+        monkeypatch.setattr(cc, "_SCAN_BLOCK", 5)
         sym = cc.build_codebook_code(TERNARY_P0, TERNARY_Q, 5, 1.0, seed=14)
         rows = np.tile(sym.symbols_y[:8], (4, 1))
         dup = cc.CodebookCode(
@@ -538,7 +582,7 @@ class TestPackedBatch:
         p0 = pc.Pmf([0.5, 0.5])
         code = cc.build_codebook_code(p0, pc.CondPmf([[0.5, 0.5], [0.5, 0.5]]), n, rate, seed=32)
         monkeypatch.setattr(cc, "_CANDIDATE_CAP", cap)
-        monkeypatch.setattr(cc, "_PACKED_SCAN_BLOCK", 1000)
+        monkeypatch.setattr(cc, "_SCAN_BLOCK", 1000)
         walked, scanned = spy_packed_kernels(monkeypatch)
         x = source_draws(p0, n, 150, seed=33)
         assert np.array_equal(code.encode(x), brute_force_encode(code, x))
@@ -558,7 +602,7 @@ class TestPackedBatch:
             n=18, x_size=2, y_size=2, rate1=base.rate1, target=base.target, packed_y=words
         )
         monkeypatch.setattr(cc, "_CANDIDATE_CAP", cap)
-        monkeypatch.setattr(cc, "_PACKED_SCAN_BLOCK", 5000)
+        monkeypatch.setattr(cc, "_SCAN_BLOCK", 5000)
         x = source_draws(p0, 18, 40, seed=35)
         got = dup.encode(x)
         assert np.array_equal(got, brute_force_encode(dup, x))

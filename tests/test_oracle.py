@@ -167,6 +167,42 @@ class TestExhaustiveBestCode:
         assert rep.optimizer.rate2 == 1.0
 
 
+class TestCodeTable:
+    """The code search's TV table: built in slices, bounded before it is built."""
+
+    @pytest.mark.parametrize("slice_symbols", [1, 7, 1 << 16])
+    def test_slices_keep_the_bits(self, monkeypatch, slice_symbols):
+        monkeypatch.setattr(orc, "_TABLE_SLICE", slice_symbols)
+        mass = np.random.default_rng(3).dirichlet(np.ones(12))
+        n = 3
+        x, y, z = orc._all_blocks(3, n), orc._all_blocks(2, n), orc._all_blocks(2, n)
+        tv = orc._code_tv_table(x, y, z, (3, 2, 2), mass)
+        # every (y, z, x) triple's joint codes at once
+        jc = (x[None, None, :, :] * 2 + y[:, None, None, :]) * 2 + z[None, :, None, :]
+        want = _tv_rows(_type_counts(jc.reshape(-1, n), 12), n, mass)
+        assert tv.shape == (8, 8, 27) and tv.tobytes() == want.tobytes()
+
+    def test_table_memory_is_bounded(self, uniform_binary, identity_joint, traced):
+        # one message at n = 10: a table of 2^20 entries (8 MiB), whose
+        # joint codes, built whole, once peaked at 200 MiB
+        rep, peak = traced(
+            lambda: orc.exhaustive_best_code(uniform_binary, identity_joint, 10, 0.0)
+        )
+        assert rep.search_space_size == 1024
+        assert peak <= 3 * 8 * 4**10
+
+    def test_table_past_its_bound_refused(self, uniform_binary, identity_joint, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("table built past its bound")
+
+        monkeypatch.setattr(orc, "_code_tv_table", boom)
+        monkeypatch.setattr(orc, "_all_blocks", boom)
+        monkeypatch.setattr(orc, "MAX_CODE_TABLE", 4**3 - 1)
+        message = r"^TV table of 8\*8\*1 entries exceeds MAX_CODE_TABLE 63$"
+        with pytest.raises(ValueError, match=message):
+            orc.exhaustive_best_code(uniform_binary, identity_joint, 3, 0.0)
+
+
 class TestBlockRepeatOfOptimizer:
     def test_repeated_code_holds_its_tv(self, uniform_binary, identity_joint):
         rep = orc.exhaustive_best_code(uniform_binary, identity_joint, 2, 0.5)
