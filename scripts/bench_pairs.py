@@ -59,9 +59,18 @@ def extract(rev: str | None, dest: str) -> str:
     with tempfile.TemporaryFile() as fh:
         fh.write(archive)
         fh.seek(0)
-        with tarfile.open(fileobj=fh) as tar:
-            tar.extractall(dest, filter="data")
+        untar(fh, dest)
     return sha
+
+
+def untar(fh, dest: str) -> None:
+    """Extracts the tar file fh into dest, through the "data" filter where
+    tarfile has one (Python 3.10.12, 3.11.4 and later)."""
+    with tarfile.open(fileobj=fh) as tar:
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
 
 
 def run_bench(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict:

@@ -32,15 +32,19 @@ is batched:
   every tile gets a lower bound on its cells' computed values. Float
   addition is monotone, so each cell's computed output mix lies in the
   tile's computed [lo, hi] per output; t ln t is convex, so on that
-  interval it peaks at an endpoint. The bound is the summed least input
-  term minus those peaks, less ``_BOUND_SLACK`` for rounding. A tile whose
-  summed least TV cost is over the radius holds no feasible cell. Tiles
-  are evaluated in increasing bound order, each cell with the float
-  expression of a cell-by-cell loop, until the next bound exceeds the best
-  value. Every cell left out is then strictly above the best value, so the
-  lexicographic minimum of (value, row-major index) over the evaluated
-  cells is the optimum and first optimizer of the full lattice, bit for
-  bit.
+  interval it lies below its chord (the secant bound of spatial
+  branch-and-bound, McCormick 1976). The chord is linear in the mix, a
+  sum over rows, so the bound is the sum over rows of each row's least
+  input term less its chord terms, less ``_BOUND_SLACK`` for rounding.
+  Within the range the chord never exceeds the larger end value, so
+  this bound is never looser than one that charges each output at that
+  end. A tile whose summed least TV cost is over the radius holds no
+  feasible cell. Tiles are evaluated in increasing bound order, each cell
+  with the float expression of a cell-by-cell loop, until the next bound
+  exceeds the best value. Every cell left out is then strictly above the
+  best value, so the lexicographic minimum of (value, row-major index)
+  over the evaluated cells is the optimum and first optimizer of the full
+  lattice, bit for bit.
 """
 
 from __future__ import annotations
@@ -75,6 +79,7 @@ _GRID_CELL_CAP = 20_000_000   # combos or candidate rows beyond this refuse to r
 _TILE_CELLS = 1024        # grid cells per tile
 _BOUND_SLACK = 1e-9       # covers rounding in a tile bound; values are O(1) bits
 _SEARCH_FLOATS = 1 << 17  # floats in one level or one block of the code search
+_BOUND_FLOATS = 1 << 17   # floats in one slice of a grid's tile bounds
 _TABLE_SLICE = 1 << 16    # block symbols per slice of the code search's TV table
 # TV-table entries (8 bytes each) one code search may hold: |X|^n |Y|^n |Z|^n.
 # The binary identity at n = 11 with one message needs 2^22.
@@ -242,8 +247,22 @@ def grid_min_mi(
 
 
 def _along(a: np.ndarray, x: int, r: int) -> np.ndarray:
-    """(k, n) columns reshaped so that n lies on lattice axis x of r."""
-    return a.reshape(a.shape[:1] + (1,) * x + a.shape[1:] + (1,) * (r - 1 - x))
+    """(k, n, ...) arrays reshaped so that n lies on lattice axis x of r."""
+    pad = (1,) * x, (1,) * (r - 1 - x)
+    return a.reshape(a.shape[:1] + pad[0] + a.shape[1:2] + pad[1] + a.shape[2:])
+
+
+def _runs(c: np.ndarray, side: int, first: int, last: int) -> np.ndarray:
+    """Runs ``first`` to ``last`` of a row's (plogp, weighted row) columns,
+    as (1 + m, last - first, side); pad candidates have plogp +inf."""
+    block = c[1:, first * side : last * side]
+    size = (last - first) * side
+    if block.shape[1] < size:
+        pad = np.zeros((block.shape[0], size))
+        pad[:, : block.shape[1]] = block
+        pad[0, block.shape[1] :] = np.inf
+        block = pad
+    return block.reshape(block.shape[0], last - first, side)
 
 
 def _tile_bounds(cols, side: int, threshold: float) -> np.ndarray:
@@ -252,6 +271,14 @@ def _tile_bounds(cols, side: int, threshold: float) -> np.ndarray:
     ``cols[x]`` holds support row x's candidates as columns (see
     ``grid_min_mi``). Axis x of the result indexes the runs of ``side`` of
     them. A tile where no cell can pass the TV test gets ``inf``.
+
+    Every cell's computed output mix lies in the tile's computed [lo, hi]
+    per output, and t ln t is convex, so there it lies below its chord
+    f(lo) + s (t - lo), s = (f(hi) - f(lo)) / (hi - lo) (0 at zero width).
+    The mix is a sum over rows, so the least of the cell value's chord
+    bound splits into each row's least over its run of plogp - s . w c.
+    The row terms are taken in slices of the tile grid's first axis of at
+    most ``_BOUND_FLOATS`` floats.
     """
     r = len(cols)
     for x, c in enumerate(cols):
@@ -260,9 +287,19 @@ def _tile_bounds(cols, side: int, threshold: float) -> np.ndarray:
         c_hi = _along(np.maximum.reduceat(c, starts, axis=1), x, r)
         # float addition is monotone, so every cell's sums lie in [lo, hi]
         lo, hi = (c_lo, c_hi) if x == 0 else (lo + c_lo, hi + c_hi)
-    # t ln t is convex, so on [lo, hi] it peaks at an endpoint
-    peak = np.maximum(xlogy(lo[2:], lo[2:]), xlogy(hi[2:], hi[2:])).sum(axis=0)
-    bound = lo[1] - peak / LN2 - _BOUND_SLACK
+    f_lo, f_hi = xlogy(lo[2:], lo[2:]), xlogy(hi[2:], hi[2:])
+    width = hi[2:] - lo[2:]
+    slope = np.divide(f_hi - f_lo, width, out=np.zeros_like(width), where=width > 0)
+    bound = -(f_lo - slope * lo[2:]).sum(axis=0) / LN2 - _BOUND_SLACK
+    slope /= LN2
+    step = max(1, _BOUND_FLOATS // (bound[0].size * side * slope.shape[0]))
+    for first in range(0, bound.shape[0], step):
+        last = min(first + step, bound.shape[0])
+        s = slope[:, first:last, ..., None]
+        for x, c in enumerate(cols):
+            span = (first, last) if x == 0 else (0, bound.shape[x])
+            run = _along(_runs(c, side, *span), x, r)
+            bound[first:last] += (run[0] - (s * run[1:]).sum(axis=0)).min(axis=-1)
     bound[lo[0] > threshold] = np.inf
     return bound
 

@@ -629,6 +629,57 @@ def test_composition_rows_match_loop(m, step):
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def criterion_04_grids():
+    return [
+        (p0, tgt, d, 1e-3)
+        for p0, tgt in ins.random_binary_instances(10, seed=77)
+        for d in (0.05, 0.1, 0.2)
+    ]
+
+
+def composition_grids(delta):
+    # one support row over four outputs: the C(43, 3)-row composition lattice
+    rng = np.random.default_rng(12)
+    tgt = pc.CondPmf(rng.dirichlet(np.ones(4), size=2))
+    return [(pc.Pmf([1.0, 0.0]), tgt, delta, 1 / 40)]
+
+
+def three_output_grids(delta):
+    rng = np.random.default_rng(13)
+    tgt = pc.CondPmf(rng.dirichlet(np.ones(3), size=2))
+    return [(pc.Pmf([0.0, 1.0]), tgt, delta, 1 / 60)]
+
+
+def three_binary_row_grids(delta):
+    rng = np.random.default_rng(14)
+    p0 = pc.Pmf(rng.dirichlet(np.ones(3)))
+    return [(p0, pc.CondPmf(rng.dirichlet(np.ones(2), size=3)), delta, 1 / 40)]
+
+
+def radius_end_grids(delta):
+    return [(p0, tgt, delta, 1 / 200) for p0, tgt in ins.random_binary_instances(3, seed=78)]
+
+
+def zero_mass_row_grids(delta):
+    rng = np.random.default_rng(15)
+    tgt = pc.CondPmf(rng.dirichlet(np.ones(2), size=3))
+    return [(pc.Pmf([0.6, 0.0, 0.4]), tgt, delta, 1 / 200)]
+
+
+# each family's grid builder and radii
+GRID_FAMILIES = {
+    "composition_rows": (composition_grids, [0.0, 0.05, 0.3]),
+    "three_outputs": (three_output_grids, [0.0, 0.05, 0.3]),
+    "three_binary_rows": (three_binary_row_grids, [0.0, 0.02, 0.1, 1.0]),
+    "radius_ends": (radius_end_grids, [0.0, 1.0]),
+    "zero_mass_row": (zero_mass_row_grids, [0.0, 0.1]),
+}
+# every TestPrunedGridMatchesLoop grid but the tied-tile one
+ALL_GRIDS = criterion_04_grids() + [
+    g for build, deltas in GRID_FAMILIES.values() for d in deltas for g in build(d)
+]
+
+
 class TestPrunedGridMatchesLoop:
     """Same optimum bits and the same optimizer rows as the full lattice."""
 
@@ -640,40 +691,33 @@ class TestPrunedGridMatchesLoop:
         assert rep.search_space_size == total
 
     def test_criterion_04_instances(self):
-        for p0, tgt in ins.random_binary_instances(10, seed=77):
-            for d in (0.05, 0.1, 0.2):
-                self.check(p0, tgt, d, 1e-3)
+        for grid in criterion_04_grids():
+            self.check(*grid)
 
-    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.3])
+    @pytest.mark.parametrize("delta", GRID_FAMILIES["composition_rows"][1])
     def test_composition_rows(self, delta):
-        # one support row over four outputs: the C(43, 3)-row composition lattice
-        rng = np.random.default_rng(12)
-        tgt = pc.CondPmf(rng.dirichlet(np.ones(4), size=2))
-        self.check(pc.Pmf([1.0, 0.0]), tgt, delta, 1 / 40)
+        for grid in composition_grids(delta):
+            self.check(*grid)
 
-    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.3])
+    @pytest.mark.parametrize("delta", GRID_FAMILIES["three_outputs"][1])
     def test_three_outputs(self, delta):
-        rng = np.random.default_rng(13)
-        tgt = pc.CondPmf(rng.dirichlet(np.ones(3), size=2))
-        self.check(pc.Pmf([0.0, 1.0]), tgt, delta, 1 / 60)
+        for grid in three_output_grids(delta):
+            self.check(*grid)
 
-    @pytest.mark.parametrize("delta", [0.0, 0.02, 0.1, 1.0])
+    @pytest.mark.parametrize("delta", GRID_FAMILIES["three_binary_rows"][1])
     def test_three_binary_rows(self, delta):
-        rng = np.random.default_rng(14)
-        p0 = pc.Pmf(rng.dirichlet(np.ones(3)))
-        self.check(p0, pc.CondPmf(rng.dirichlet(np.ones(2), size=3)), delta, 1 / 40)
+        for grid in three_binary_row_grids(delta):
+            self.check(*grid)
 
-    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    @pytest.mark.parametrize("delta", GRID_FAMILIES["radius_ends"][1])
     def test_radius_ends(self, delta):
-        for p0, tgt in ins.random_binary_instances(3, seed=78):
-            self.check(p0, tgt, delta, 1 / 200)
+        for grid in radius_end_grids(delta):
+            self.check(*grid)
 
-    @pytest.mark.parametrize("delta", [0.0, 0.1])
+    @pytest.mark.parametrize("delta", GRID_FAMILIES["zero_mass_row"][1])
     def test_zero_mass_row(self, delta):
-        rng = np.random.default_rng(15)
-        tgt = pc.CondPmf(rng.dirichlet(np.ones(2), size=3))
-        self.check(pc.Pmf([0.6, 0.0, 0.4]), tgt, delta, 1 / 200)
-
+        for grid in zero_mass_row_grids(delta):
+            self.check(*grid)
 
     def test_tied_tiles_under_tight_bounds(self, monkeypatch):
         # Uniform source, identity target, delta = 1: every diagonal cell is
@@ -693,21 +737,44 @@ class TestPrunedGridMatchesLoop:
 
 
 def tile_least(cols, side, threshold):
-    """Least feasible cell value per tile of a two-row grid, every cell scored."""
-    a, b = cols
-    starts = np.arange(0, b.shape[1], side)
-    least = []
-    for lo in range(0, a.shape[1], side):
-        s = a[:, lo : lo + side]
-        mix = s[2:, :, None] + b[2:, None, :]
-        vals = s[1][:, None] + b[1][None, :] - xlogy(mix, mix).sum(axis=0) / orc.LN2
-        vals[s[0][:, None] + b[0][None, :] > threshold] = np.inf
-        least.append(np.minimum.reduceat(vals.min(axis=0), starts))
-    return np.array(least)
+    """Least feasible cell value per tile of a grid of 1 to 3 rows, every
+    cell scored."""
+    r = len(cols)
+    # each row's columns on its own lattice axis
+    axes = [c.reshape(c.shape[:1] + (1,) * x + c.shape[1:] + (1,) * (r - 1 - x))
+            for x, c in enumerate(cols)]
+    tiles = [range(0, c.shape[1], side) for c in cols]
+    least = np.empty(tuple(len(t) for t in tiles))
+    for corner in itertools.product(*tiles):
+        acc = 0.0
+        for x, a in enumerate(axes):
+            index = [slice(None)] * (r + 1)
+            index[x + 1] = slice(corner[x], corner[x] + side)
+            acc = acc + a[tuple(index)]
+        vals = acc[1] - xlogy(acc[2:], acc[2:]).sum(axis=0) / orc.LN2
+        vals[acc[0] > threshold] = np.inf
+        least[tuple(c // side for c in corner)] = vals.min()
+    return least
 
 
-def test_tile_bounds_below_cells(monkeypatch):
-    """On the criterion-04 instances, no cell of a tile is below its bound."""
+def peak_bound(cols, side, threshold):
+    """The endpoint bound the chord replaced: each output's t ln t charged
+    at the larger end of the tile's range."""
+    r = len(cols)
+    lo = hi = 0.0
+    for x, c in enumerate(cols):
+        starts = np.arange(0, c.shape[1], side)
+        shape = c.shape[:1] + (1,) * x + (len(starts),) + (1,) * (r - 1 - x)
+        lo = lo + np.minimum.reduceat(c, starts, axis=1).reshape(shape)
+        hi = hi + np.maximum.reduceat(c, starts, axis=1).reshape(shape)
+    peak = np.maximum(xlogy(lo[2:], lo[2:]), xlogy(hi[2:], hi[2:])).sum(axis=0)
+    bound = lo[1] - peak / orc.LN2 - orc._BOUND_SLACK
+    bound[lo[0] > threshold] = np.inf
+    return bound
+
+
+def spy_tile_bounds(monkeypatch):
+    """Records (cols, side, threshold, bound) of every ``_tile_bounds`` call."""
     seen = []
     real = orc._tile_bounds
 
@@ -716,12 +783,75 @@ def test_tile_bounds_below_cells(monkeypatch):
         return seen[-1][-1]
 
     monkeypatch.setattr(orc, "_tile_bounds", spy)
-    for p0, tgt in ins.random_binary_instances(10, seed=77):
-        for d in (0.05, 0.1, 0.2):
-            orc.grid_min_mi(p0, tgt, d, 1e-3)
-    assert len(seen) == 30
+    return seen
+
+
+def test_tile_bounds_below_cells(monkeypatch):
+    """On every grid above, no cell of a tile is below its bound, and no
+    bound is looser than the endpoint bound."""
+    seen = spy_tile_bounds(monkeypatch)
+    for grid in ALL_GRIDS:
+        orc.grid_min_mi(*grid)
+    assert len(seen) == len(ALL_GRIDS) == 48
+    assert {len(cols) for cols, *_ in seen} == {1, 2, 3}
     for cols, side, threshold, bound in seen:
         least = tile_least(cols, side, threshold)
         # an infinite bound exactly when the tile holds no feasible cell
         assert np.array_equal(np.isinf(bound), np.isinf(least))
         assert (bound <= least).all()
+        finite = np.isfinite(bound)
+        assert (bound[finite] >= peak_bound(cols, side, threshold)[finite] - 1e-12).all()
+
+
+def row_cols(w, cand, target_row):
+    """One support row's columns, as ``grid_min_mi`` builds them."""
+    cand = np.asarray(cand, dtype=float)
+    tv = 0.5 * w * np.abs(cand - np.asarray(target_row)[None, :]).sum(axis=1)
+    plogp = w * (xlogy(cand, cand).sum(axis=1) / orc.LN2)
+    return np.vstack([tv, plogp, (w * cand).T])
+
+
+class TestTileBoundEdges:
+    def test_zero_width(self):
+        # every run holds one distinct candidate: hi == lo on each output,
+        # the slope is 0 and the bound is the cell's value less the slack
+        cols = [
+            row_cols(0.4, [[0.3, 0.7]] * 3, [0.3, 0.7]),
+            row_cols(0.6, [[0.6, 0.4]] * 2, [0.5, 0.5]),
+        ]
+        bound = orc._tile_bounds(cols, 4, 1.0)
+        least = tile_least(cols, 4, 1.0)
+        assert bound.shape == (1, 1) and np.isfinite(least).all()
+        assert bound[0, 0] == pytest.approx(least[0, 0] - orc._BOUND_SLACK, abs=1e-15)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_range_touches_zero(self, r):
+        # every row's first run holds t = 0 on output 0, so the tile's
+        # range starts at 0, where the slope of t ln t is -inf
+        rows = [[0.0, 1.0], [0.25, 0.75], [0.5, 0.5], [0.75, 0.25], [1.0, 0.0]]
+        w = np.full(r, 1 / r)
+        cols = [row_cols(w[x], rows, [0.5, 0.5]) for x in range(r)]
+        bound = orc._tile_bounds(cols, 2, 1.0)
+        least = tile_least(cols, 2, 1.0)
+        assert np.isfinite(bound).all()
+        assert (bound <= least).all()
+        assert (bound >= peak_bound(cols, 2, 1.0) - 1e-12).all()
+
+
+def test_criterion_04_cells_scored():
+    """The chord bounds score at most 1.5 M of the criterion-04 grids'
+    cells (1,159,008 here; the endpoint bounds scored 5,771,040)."""
+    cells = sum(orc.grid_min_mi(*grid).details["cells_evaluated"] for grid in criterion_04_grids())
+    assert cells <= 1_500_000
+
+
+def test_single_row_grid_memory(traced):
+    # One support row: I(X;Y) is 0 in every cell, so no tile is pruned and
+    # every tile's chord terms are taken. The peak stays that of the
+    # endpoint bounds (24,055,840 bytes); the chord terms taken whole
+    # peaked at 32.6 MB.
+    rng = np.random.default_rng(12)
+    tgt = pc.CondPmf(rng.dirichlet(np.ones(4), size=2))
+    rep, peak = traced(lambda: orc.grid_min_mi(pc.Pmf([1.0, 0.0]), tgt, 1.0, 1 / 100))
+    assert rep.details["cells_evaluated"] == rep.search_space_size == 176_852
+    assert peak <= 24_100_000
