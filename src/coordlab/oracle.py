@@ -133,17 +133,20 @@ def _composition_rows(m: int, step: float, target_row: np.ndarray) -> np.ndarray
     count = math.comb(total + m - 1, m - 1)
     if count > _GRID_CELL_CAP:
         raise ValueError(_grid_cap_message(count))
-    # stars and bars: m - 1 bars among total + m - 1 slots, in
-    # lexicographic order; the gaps between bars are the counts
-    edges = np.empty((count, m + 1), dtype=np.intp)
-    edges[:, 0], edges[:, -1] = -1, total + m - 1
-    edges[:, 1:-1] = np.fromiter(
-        itertools.combinations(range(total + m - 1), m - 1),
-        dtype=(np.intp, m - 1),
-        count=count,
-    )
-    counts = np.diff(edges, axis=1) - 1
-    return np.vstack([counts / total, target_row[None, :]])
+    # compositions of total into m counts in lexicographic order, one part
+    # at a time: a prefix with `left` still to place has left + 1
+    # children, whose next part runs 0..left
+    left, parts = np.array([total]), []
+    for _ in range(m - 1):
+        kids = left + 1
+        part = np.arange(kids.sum()) - np.repeat(np.cumsum(kids) - kids, kids)
+        parts = [np.repeat(p, kids) for p in parts] + [part]
+        left = np.repeat(left, kids) - part
+    rows = np.empty((count + 1, m))
+    for y, counts in enumerate(parts + [left]):
+        rows[:count, y] = counts / total
+    rows[count] = target_row
+    return rows
 
 
 def grid_min_mi(

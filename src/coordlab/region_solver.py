@@ -14,7 +14,12 @@ solved greedily. The gap is checked after every iteration and the
 first iterate it certifies is returned. Endpoints (delta = 0 and delta
 past the zero-rate threshold delta*) are returned from closed forms with
 zero gap; delta* itself is a separable piecewise-linear minimization
-solved by a greedy fill. The cascade sweep solves its weights from last
+solved by a greedy fill. FISTA starts on the segment from the target to
+the delta* point p0 x r*, at TV delta; where that start keeps a zero in
+a column of positive output marginal (a deterministic target whose r*
+is a vertex), I's gradient there is log2 of the floor _TINY and FISTA
+crawls, so it starts on the segment to p0 x marginal instead, which is
+positive on those columns. The cascade sweep solves its weights from last
 to first, from lam = 1 down, each warm-started from the last argmin.
 Both networks share the endpoints, the start and the feasibility check;
 the cascade's I(X;Z) is I(X;Yhat) of the rows summed over y.
@@ -349,13 +354,28 @@ def _delta_star_full(p0: Pmf, target: CondPmf):
 
 def _start(prog: _NeighborhoodProgram):
     """(rows, closed): the closed-form argmin at delta = 0 and delta >=
-    delta*, or else FISTA's start, on the way from the target to delta*."""
+    delta*, or else FISTA's start, on the way from the target to delta*.
+
+    That way keeps an exact zero where the target and r* both have one
+    (the binary identity's r* is [1, 0]). If such a zero sits in a column
+    of positive output marginal, I's gradient there is log2 of _TINY, the
+    log singularity, and FISTA crawls off that face for 50-100 iterations.
+    The start is then taken on the way to p0 x marg instead, at TV delta:
+    that end is at TV >= delta* > delta, so the point is feasible, and it
+    is positive wherever the marginal is. Full-support targets never take
+    this branch.
+    """
     if prog.delta == 0.0:
         return prog.p.copy(), True
     ds, r_star = _delta_star_full(prog.p0, prog.target)
     if prog.delta >= ds - 1e-12:
         return np.tile(r_star, (prog.k, 1)), True
-    return prog.p + (prog.delta / ds) * (r_star - prog.p), False
+    start = prog.p + (prog.delta / ds) * (r_star - prog.p)
+    marg = prog.w @ prog.p
+    if (start[:, marg > 0.0] == 0.0).any():
+        tv_marg = 0.5 * float((prog.w[:, None] * np.abs(prog.p - marg)).sum())
+        start = prog.p + (prog.delta / tv_marg) * (marg - prog.p)
+    return start, False
 
 
 def _restore_rows(prog: _NeighborhoodProgram, q: np.ndarray) -> CondPmf:

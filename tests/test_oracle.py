@@ -621,7 +621,11 @@ def loop_composition_rows(m, step, target_row):
     return np.vstack([rows, target_row[None, :]])
 
 
-@pytest.mark.parametrize("m, step", [(3, 1 / 40), (3, 1e-2), (4, 1 / 40), (4, 1 / 7)])
+@pytest.mark.parametrize(
+    "m, step",
+    [(1, 1 / 40), (1, 1.0), (2, 1 / 40), (2, 1e-2), (2, 1.0)]
+    + [(3, 1 / 40), (3, 1e-2), (3, 1.0), (4, 1 / 40), (4, 1 / 7), (4, 1.0)],
+)
 def test_composition_rows_match_loop(m, step):
     row = np.random.default_rng(m).dirichlet(np.ones(m))
     got = orc._composition_rows(m, step, row)

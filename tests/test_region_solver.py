@@ -193,6 +193,104 @@ class TestDeltaStar:
             assert abs(tv - value) <= 1e-15
 
 
+def zero_entry_targets():
+    """(name, source, target): deterministic targets and a Z-channel; each
+    has a zero entry in a column of positive output marginal."""
+    copy = np.zeros((2, 2, 2))
+    copy[0, 0, 0] = copy[1, 1, 1] = 1.0
+    return [
+        ("binary identity", pc.Pmf([0.5, 0.5]), pc.CondPmf(np.eye(2))),
+        ("ternary identity", pc.Pmf([1 / 3, 1 / 3, 1 / 3]), pc.CondPmf(np.eye(3))),
+        ("skewed identity", pc.Pmf([0.7, 0.3]), pc.CondPmf(np.eye(2))),
+        ("y = f(x)", pc.Pmf([0.3, 0.3, 0.4]), pc.CondPmf([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
+        ("z-channel", pc.Pmf([0.5, 0.5]), pc.CondPmf([[1.0, 0.0], [0.3, 0.7]])),
+        ("copy cascade", pc.Pmf([0.5, 0.5]), pc.CondPmf(copy)),
+    ]
+
+
+def count_gap_checks(monkeypatch):
+    """Counts FISTA iterations: one gap check each."""
+    calls = {"gap": 0}
+    gap_at = rs._NeighborhoodProgram.gap_at
+
+    def spy(self, q, grad):
+        calls["gap"] += 1
+        return gap_at(self, q, grad)
+
+    monkeypatch.setattr(rs._NeighborhoodProgram, "gap_at", spy)
+    return calls
+
+
+class TestStart:
+    @pytest.mark.parametrize("delta", [0.1, 0.25, 1 / 12, 0.203125, 0.3125])
+    def test_binary_identity_certifies_at_once(self, monkeypatch, uniform_binary, identity_channel, delta):
+        # the consistency scan's FISTA radii; started toward the delta*
+        # point [1, 0] each took 57-69 iterations
+        calls = count_gap_checks(monkeypatch)
+        pt = rs.solve_two_node(uniform_binary, identity_channel, delta)
+        assert pt.certificate <= rs.SolverConfig().duality_gap_tol
+        assert 1 <= calls["gap"] <= 2
+        assert abs(pt.R1 - (1 - h2(delta))) <= 1e-12
+
+    @pytest.mark.parametrize("p0,tgt", [t[1:] for t in zero_entry_targets()], ids=[t[0] for t in zero_entry_targets()])
+    def test_start_off_the_zero_face(self, p0, tgt):
+        ds, r_star = rs._delta_star_full(p0, tgt)
+        for fraction in (0.1, 0.5, 0.9):
+            prog = rs._NeighborhoodProgram(p0, tgt, fraction * ds)
+            q, closed = rs._start(prog)
+            assert not closed
+            # the start toward delta* has a zero this start must not keep
+            marg = prog.w @ prog.p
+            assert (prog.p[:, marg > 0.0] + r_star[marg > 0.0] == 0.0).any()
+            assert q[:, marg > 0.0].min() > 0.0
+            assert np.abs(q.sum(axis=1) - 1.0).max() <= 1e-15
+            assert prog.l1_cost(q) <= prog.budget * (1 + 1e-15)
+
+    def test_full_support_start_toward_delta_star(self):
+        # full-support targets keep the start, hence every iterate, bit
+        # for bit: criterion 03/05's battery and a 2x2x2 cascade instance
+        rng = np.random.default_rng(2027)
+        cascade = (
+            pc.Pmf(rng.dirichlet(np.ones(2) * 1.5)),
+            pc.CondPmf(rng.dirichlet(np.ones(4) * 1.2, size=2).reshape(2, 2, 2)),
+        )
+        for p0, tgt in list(random_two_node_instances(20, seed=424242)) + [cascade]:
+            ds, r_star = rs._delta_star_full(p0, tgt)
+            for fraction in (0.1, 0.5, 0.9):
+                prog = rs._NeighborhoodProgram(p0, tgt, fraction * ds)
+                q, closed = rs._start(prog)
+                assert not closed
+                want = prog.p + (prog.delta / ds) * (r_star - prog.p)
+                assert np.array_equal(q, want)
+
+    def test_identity_spec_within_old_certificates(self, uniform_binary, identity_channel):
+        # scripts/specs/two_node_identity.json: (delta, R1, certificate)
+        # as solved from the start toward delta*; the points from the
+        # marginal start lie within each of those certificates
+        old = [
+            (0.0, 1.0, 0.0),
+            (0.05, 0.7136030428840449, 1.0683939379030338e-08),
+            (0.1, 0.5310044064107409, 6.696683872708942e-08),
+            (0.2, 0.27807190511263935, 2.1163258312473232e-08),
+            (0.3, 0.11870910076934596, 8.727023809163015e-08),
+            (0.4, 0.029049405545440506, 9.164240507425481e-08),
+            (0.5, 0.0, 0.0),
+            (1.0, 0.0, 0.0),
+        ]
+        for delta, r1, cert in old:
+            pt = rs.solve_two_node(uniform_binary, identity_channel, delta)
+            assert abs(pt.R1 - r1) <= cert
+            assert pt.certificate <= rs.SolverConfig().duality_gap_tol
+
+    @pytest.mark.xfail(strict=True, reason="plateaus at gap 7.4e-3 (3.2e-3 started toward delta*)")
+    def test_skewed_ternary_identity_near_delta_star(self):
+        p0, tgt = pc.Pmf([0.2, 0.3, 0.5]), pc.CondPmf(np.eye(3))
+        ds = rs.delta_star(p0, tgt)
+        assert ds == 0.5
+        pt = rs.solve_two_node(p0, tgt, 0.9 * ds)
+        assert pt.certificate <= rs.SolverConfig().duality_gap_tol
+
+
 class TestCascade:
     @pytest.fixture
     def cascade_target(self):
