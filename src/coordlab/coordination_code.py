@@ -20,13 +20,13 @@ per-codeword float TV would give.
   its table in increasing TV: a level's candidate words for every live
   sample are built at once and looked up in one call to the word index,
   and a sample stops at its first level with a hit.
-- Every other sample, of either layout, takes one block scan. A codeword's
-  table index is a sum of per-sample place values over its counted symbols
-  (a packed word's ones, a symbol row's symbols but the last), so a block
-  of codewords, as bit or one-hot rows, is scored by one float32 matmul; a
-  sample leaves the scan at the first block that reaches its table's
-  floor. Compositions whose table would be too large take the
-  per-codeword loop.
+- Every other sample, of either layout, takes one block scan. Both layouts
+  count each action symbol but the first per source symbol, so a packed
+  word's ones are its counted one-hot row, and a codeword's table index is
+  a sum of per-sample place values over its counted symbols: a block of
+  codewords, as one-hot rows, is scored by one float32 matmul; a sample
+  leaves the scan at the first block that reaches its table's floor.
+  Compositions whose table would be too large take the per-codeword loop.
 """
 
 from __future__ import annotations
@@ -116,11 +116,33 @@ def _power_exceeds(base: int, n: int, bound: int) -> bool:
     return base > 1 and n >= bound.bit_length() or base**n > bound
 
 
+def _all_blocks(size: int, n: int) -> np.ndarray:
+    """All size^n blocks as a (size^n, n) array, lexicographic."""
+    return np.indices((size,) * n).reshape(n, size**n).T.copy()
+
+
 def _enumerate_inputs(x_size: int, n: int) -> np.ndarray:
-    """All |X|^n source sequences as an (|X|^n, n) array, lexicographic."""
+    """All |X|^n source sequences, refused past ENUM_GUARD."""
     if _power_exceeds(x_size, n, ENUM_GUARD):
         raise ValueError(f"{x_size}^{n} sequences exceed ENUM_GUARD {ENUM_GUARD}")
-    return np.indices((x_size,) * n).reshape(n, x_size**n).T.copy()
+    return _all_blocks(x_size, n)
+
+
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """Every way to write total as parts counts >= 0, lexicographic, as a
+    (comb(total + parts - 1, parts - 1), parts) array.
+
+    Built one part at a time: a prefix with ``left`` still to place has
+    left + 1 children, whose next part runs 0..left.
+    """
+    left, cols = np.array([total]), []
+    for _ in range(parts - 1):
+        kids = left + 1
+        starts = np.repeat(np.cumsum(kids) - kids, kids)
+        part = np.arange(starts.size) - starts
+        cols = [np.repeat(c, kids) for c in cols] + [part]
+        left = np.repeat(left, kids) - part
+    return np.array(cols + [left]).T
 
 
 def _type_counts(joint_codes: np.ndarray, num_cells: int) -> np.ndarray:
@@ -169,48 +191,26 @@ class TableCode:
     decoder_end: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        enc = np.asarray(self.encoder, dtype=np.int64)
-        dec = np.asarray(self.decoder_mid, dtype=np.int64)
-        m1 = message_count(self.n, self.rate1)
-        if enc.shape != (self.x_size**self.n,):
-            raise ValueError(
-                f"encoder must cover all {self.x_size}^{self.n} inputs, "
-                f"got shape {enc.shape}"
-            )
-        if dec.shape != (m1, self.n):
-            raise ValueError(
-                f"decoder must hold {m1} blocks of length {self.n}, got {dec.shape}"
-            )
-        if enc.size and (enc.min() < 0 or enc.max() >= m1):
-            raise ValueError(f"encoder message outside [0, {m1})")
-        if dec.size and (dec.min() < 0 or dec.max() >= self.y_size):
-            raise ValueError(f"decoder symbol outside [0, {self.y_size})")
         cascade_bits = (self.rate2, self.z_size, self.recoder, self.decoder_end)
         if any(b is None for b in cascade_bits) != all(b is None for b in cascade_bits):
             raise ValueError("cascade fields must be given together or not at all")
+        m1 = message_count(self.n, self.rate1)
+        # (field, shape, bound on its entries)
+        fields = [
+            ("encoder", (self.x_size**self.n,), m1),
+            ("decoder_mid", (m1, self.n), self.y_size),
+        ]
         if self.recoder is not None:
-            rec = np.asarray(self.recoder, dtype=np.int64)
-            dz = np.asarray(self.decoder_end, dtype=np.int64)
             m2 = message_count(self.n, self.rate2)
-            if rec.shape != (m1,):
-                raise ValueError(f"recoder must have {m1} entries, got {rec.shape}")
-            if dz.shape != (m2, self.n):
-                raise ValueError(
-                    f"end decoder must hold {m2} blocks of length {self.n}, "
-                    f"got {dz.shape}"
-                )
-            if rec.size and (rec.min() < 0 or rec.max() >= m2):
-                raise ValueError(f"recoder message outside [0, {m2})")
-            if dz.size and (dz.min() < 0 or dz.max() >= self.z_size):
-                raise ValueError(f"end decoder symbol outside [0, {self.z_size})")
-            rec.setflags(write=False)
-            dz.setflags(write=False)
-            object.__setattr__(self, "recoder", rec)
-            object.__setattr__(self, "decoder_end", dz)
-        enc.setflags(write=False)
-        dec.setflags(write=False)
-        object.__setattr__(self, "encoder", enc)
-        object.__setattr__(self, "decoder_mid", dec)
+            fields += [("recoder", (m1,), m2), ("decoder_end", (m2, self.n), self.z_size)]
+        for name, shape, bound in fields:
+            arr = np.asarray(getattr(self, name), dtype=np.int64)
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+            if arr.size and (arr.min() < 0 or arr.max() >= bound):
+                raise ValueError(f"{name} entry outside [0, {bound})")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def is_cascade(self) -> bool:
@@ -344,8 +344,7 @@ class CodebookCode:
                 raise ValueError("packed storage needs binary actions and n <= 64")
             if self.packed_y.shape != (m1,):
                 raise ValueError(f"packed codebook must have {m1} words")
-            # the table index takes the last symbol's ones as popcount(word)
-            # minus the others, which needs every set bit below n
+            # the word index and the scan read only the bits below n
             if self.packed_y.size and int(self.packed_y.max()) >> self.n:
                 raise ValueError(f"packed codeword with a bit at or above n = {self.n}")
         else:
@@ -367,13 +366,16 @@ class CodebookCode:
             arr = getattr(self, name)
             if arr is not None:
                 arr.setflags(write=False)
-        # Per-composition TV tables and their TV-sorted walks, subset index
-        # arrays for the candidate walk, and the lazily built word index of
-        # the packed codebook. Monte-Carlo worker threads fill them; each
-        # entry is a pure function of its key, so a lost race only repeats
-        # work. The word index is large, so it is built under a lock.
+        # Per-composition TV tables and their TV-sorted walks, each source
+        # symbol count's compositions into the action symbols (the tables'
+        # parts), subset index arrays for the candidate walk, and the lazily
+        # built word index of the packed codebook. Monte-Carlo worker threads
+        # fill them; each entry is a pure function of its key, so a lost race
+        # only repeats work. The word index is large, so it is built under a
+        # lock.
         object.__setattr__(self, "_tables", {})
         object.__setattr__(self, "_walks", {})
+        object.__setattr__(self, "_parts", {})
         object.__setattr__(self, "_subsets", {})
         object.__setattr__(self, "_index_cache", None)
         object.__setattr__(self, "_index_lock", threading.Lock())
@@ -419,14 +421,10 @@ class CodebookCode:
         return self.y_size * (self.z_size if self.is_cascade else 1)
 
     def _radix(self, comp: tuple) -> list:
-        """Digit ranges of the table index at source composition comp.
-
-        Packed codes: the ones of the codeword per source symbol. Symbol
-        codes: the count of each action symbol but the last, per source
-        symbol (the last one is what the composition leaves over).
-        """
-        if self.packed_y is not None:
-            return [c + 1 for c in comp]
+        """Digit ranges of the table index at source composition comp: the
+        count of each action symbol but the first, per source symbol (the
+        first is what the composition leaves over; for a packed code, the
+        codeword's ones)."""
         return [c + 1 for c in comp for _ in range(self._row_symbols - 1)]
 
     def _table(self, comp: tuple) -> Optional[np.ndarray]:
@@ -437,55 +435,41 @@ class CodebookCode:
         Entries come from the encoders' own float expressions
         (``_tv_from_c1`` for packed codes, ``_tv_rows`` for symbol rows), so
         scoring a codeword by lookup keeps every float and every tie
-        exactly. Unreachable entries of a symbol table are inf. None when
-        the table would exceed ``_TV_TABLE_CAP`` entries.
+        exactly. Unreachable entries are inf. None when the table would
+        exceed ``_TV_TABLE_CAP`` entries.
         """
         if comp in self._tables:
             return self._tables[comp]
         radix = self._radix(comp)
-        if math.prod(radix) > _TV_TABLE_CAP:
-            table = None
-        elif self.packed_y is not None:
-            nj0, nj1 = self._nj_split(self.target)
-            grids = np.meshgrid(
-                *[np.arange(r, dtype=np.float64) for r in radix], indexing="ij"
-            )
-            table = self._tv_from_c1([g.ravel() for g in grids], comp, nj0, nj1)
-        else:
-            k = self._row_symbols
-            counts = np.zeros((1, 0), dtype=np.int64)
+        table = None
+        if math.prod(radix) <= _TV_TABLE_CAP:
+            # the count vectors: a composition of each comp[a] into the
+            # action symbols, per source symbol
+            parts = []
             for c in comp:
-                free = np.indices((c + 1,) * (k - 1)).reshape(k - 1, (c + 1) ** (k - 1)).T
-                free = free[free.sum(axis=1) <= c]
-                rows = np.column_stack([free, c - free.sum(axis=1)])
-                counts = np.concatenate(
-                    [
-                        np.repeat(counts, rows.shape[0], axis=0),
-                        np.tile(rows, (counts.shape[0], 1)),
-                    ],
-                    axis=1,
-                )
-            place = self._strides(comp).ravel()
+                if c not in self._parts:
+                    self._parts[c] = _compositions(c, self._row_symbols)
+                parts.append(self._parts[c])
+            pick = np.indices([p.shape[0] for p in parts]).reshape(len(parts), -1)
+            counts = np.concatenate([p[i] for p, i in zip(parts, pick)], axis=1)
+            if self.packed_y is not None:
+                c1 = counts[:, 1::2].T.astype(np.float64)
+                tv = self._tv_from_c1(c1, comp, *self._nj_split(self.target))
+            else:
+                tv = _tv_rows(counts, self.n, self.target.mass.ravel())
             table = np.full(math.prod(radix), np.inf)
-            table[counts @ place] = _tv_rows(counts, self.n, self.target.mass.ravel())
+            table[counts @ self._strides(comp).ravel()] = tv
         self._tables[comp] = table
         return table
 
     def _strides(self, comp: tuple) -> np.ndarray:
-        """Place value of each count in the table index.
-
-        Packed codes: (A,), one per source symbol. Symbol codes: (A, K)
-        over (source symbol, action symbol), 0 for the last action symbol.
-        """
+        """Place value of each count in the table index, (A, K) over
+        (source symbol, action symbol), 0 for the first action symbol."""
         radix = self._radix(comp)
-        place = np.ones(len(radix), dtype=np.int64)
-        for i in range(len(radix) - 2, -1, -1):
-            place[i] = place[i + 1] * radix[i + 1]
-        if self.packed_y is not None:
-            return place
+        place = [math.prod(radix[i + 1 :]) for i in range(len(radix))]
         k = self._row_symbols
         out = np.zeros((self.x_size, k), dtype=np.int64)
-        out[:, : k - 1] = place.reshape(self.x_size, k - 1)
+        out[:, 1:] = np.array(place, dtype=np.int64).reshape(self.x_size, k - 1)
         return out
 
     # -- packed walk ------------------------------------------------------
@@ -638,18 +622,16 @@ class CodebookCode:
     def _action_rows(self, lo: int, hi: int) -> np.ndarray:
         """Codeword rows lo..hi as one action symbol per position: y, or
         y·|Z| + z of the recoded z-codeword for cascades."""
-        rows = self.symbols_y[lo:hi]
+        rows = self.codeword_rows(slice(lo, hi))
         if self.is_cascade:
             rows = rows * self.z_size + self.symbols_z[self.recoder[lo:hi]]
         return rows
 
     def _block_rows(self, lo: int, hi: int) -> np.ndarray:
-        """Codewords lo..hi as float32 rows of their counted symbols: a
-        packed word's bits, or the one-hot rows of a symbol row's action
-        symbols but the last, (hi - lo, L)."""
-        if self.packed_y is not None:
-            return _unpack_bits(self.packed_y[lo:hi], self.n).astype(np.float32)
-        symbols = np.arange(self._row_symbols - 1)[None, :, None]
+        """Codewords lo..hi as float32 one-hot rows of their counted action
+        symbols (all but the first), (hi - lo, (K - 1) * n); a packed
+        word's row is its bits."""
+        symbols = np.arange(1, self._row_symbols)[None, :, None]
         onehot = self._action_rows(lo, hi)[:, None, :] == symbols
         return onehot.astype(np.float32).reshape(hi - lo, -1)
 
@@ -687,9 +669,9 @@ class CodebookCode:
         base = np.cumsum([0] + [t.size for t in fitted[:-1]])[slot]
         flat = np.concatenate(fitted)
         floor = np.array([t.min() for t in fitted])[slot]
+        # (S, n, K) -> (S, (K - 1) * n): the first action symbol is not counted
         lanes = np.stack([self._strides(keys[i]) for i in fit])[slot[:, None], x]
-        if lanes.ndim == 3:  # (S, n, K): the last action symbol is not counted
-            lanes = lanes[:, :, :-1].transpose(0, 2, 1).reshape(keep.size, -1)
+        lanes = lanes[:, :, 1:].transpose(0, 2, 1).reshape(keep.size, -1)
         lanes = lanes.astype(np.float32)
         best_tv = np.full(keep.size, np.inf)
         best_j = np.zeros(keep.size, dtype=np.int64)

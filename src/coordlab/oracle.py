@@ -62,6 +62,8 @@ from scipy.special import xlogy
 from coordlab.prob_core import CondPmf, JointPmf, Pmf, TV_SLACK, compose, total_variation
 from coordlab.coordination_code import (
     TableCode,
+    _all_blocks,
+    _compositions,
     _enumerate_inputs,
     _power_exceeds,
     _tv_rows,
@@ -133,18 +135,8 @@ def _composition_rows(m: int, step: float, target_row: np.ndarray) -> np.ndarray
     count = math.comb(total + m - 1, m - 1)
     if count > _GRID_CELL_CAP:
         raise ValueError(_grid_cap_message(count))
-    # compositions of total into m counts in lexicographic order, one part
-    # at a time: a prefix with `left` still to place has left + 1
-    # children, whose next part runs 0..left
-    left, parts = np.array([total]), []
-    for _ in range(m - 1):
-        kids = left + 1
-        part = np.arange(kids.sum()) - np.repeat(np.cumsum(kids) - kids, kids)
-        parts = [np.repeat(p, kids) for p in parts] + [part]
-        left = np.repeat(left, kids) - part
     rows = np.empty((count + 1, m))
-    for y, counts in enumerate(parts + [left]):
-        rows[:count, y] = counts / total
+    np.divide(_compositions(total, m), total, out=rows[:count])
     rows[count] = target_row
     return rows
 
@@ -344,10 +336,6 @@ def _tile_search(cols, side: int, threshold: float, bound: np.ndarray):
             if vals.flat[j] < best_val or lin < best_lin:
                 best_val, best_lin = float(vals.flat[j]), lin
     return best_val, best_lin, tiles, cells
-
-
-def _all_blocks(size: int, n: int) -> np.ndarray:
-    return np.indices((size,) * n).reshape(n, size**n).T.copy()
 
 
 def _code_tv_table(x_blocks, y_blocks, z_blocks, sizes, target_flat) -> np.ndarray:

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import hashlib
 import io
 import json
 import math
@@ -487,6 +488,30 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--spec", spec, "--out", str(b)]) == 0
         for name in ("simulation.csv", "simulation.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    # sha256 of the simulate outputs on the shipped specs at their seeds:
+    # the scan on a packed code (two_node_identity) and on cascade symbol
+    # rows (cascade_small)
+    GOLDEN = {
+        "two_node_identity": {
+            "simulation.csv": "0366fb214f6851483e1417ea7a72b7468b298333b26e89c2f50284d63528b9bc",
+            "simulation.json": "046928384a9490d2c594c2c3fe56bd67335f96bd134835ae6111421a53ed6754",
+        },
+        "cascade_small": {
+            "simulation.csv": "08f7f3b025b4df38b82ffdc89441897649ff2a92fd0f43acf8c3c9bc0912f99f",
+            "simulation.json": "4c57002f927a42c3a6a8a10bcf1db1621ca9eae20922013dcafa17e5dd897654",
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_shipped_specs_golden_bytes(self, tmp_path, name):
+        spec = os.path.join(SPEC_DIR, f"{name}.json")
+        assert cli.main(["simulate", "--spec", spec, "--out", str(tmp_path)]) == 0
+        got = {
+            f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+            for f in self.GOLDEN[name]
+        }
+        assert got == self.GOLDEN[name]
 
     def test_jobs_do_not_change_bytes(self, tmp_path):
         spec = write_spec(tmp_path, base_spec())

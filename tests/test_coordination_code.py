@@ -544,6 +544,40 @@ class TestEncoderPaths:
             )
 
 
+class TestTableLookup:
+    """A table lookup is the layout's float expression, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "p0, q, n, rates, packed",
+        [
+            (pc.Pmf([0.6, 0.4]), pc.CondPmf([[0.9, 0.1], [0.3, 0.7]]), 6, (0.8,), True),
+            (TERNARY_P0, TERNARY_Q, 5, (1.0,), False),
+            (pc.Pmf([0.5, 0.5]), CASCADE_Q, 5, (0.9, 0.6), False),
+            (TERNARY_P0, pc.CondPmf([[1.0], [1.0], [1.0]]), 4, (0.5,), False),
+        ],
+        ids=["packed", "ternary", "cascade", "one-symbol"],
+    )
+    def test_lookup_is_the_float_expression(self, p0, q, n, rates, packed):
+        code = cc.build_codebook_code(p0, q, n, *rates, seed=23)
+        assert (code.packed_y is not None) == packed
+        m1, a, k = code.m1, code.x_size, code._row_symbols
+        u = code.codeword_rows(np.arange(m1))
+        if code.is_cascade:
+            u = u * code.z_size + code.symbols_z[code.recoder]
+        # every source block, the all-zero one (a composition with zero
+        # counts) among them
+        for x in cc._enumerate_inputs(a, n):
+            comp = tuple(int(c) for c in np.bincount(x, minlength=a))
+            looked = code._table(comp)[code._strides(comp)[x[None, :], u].sum(axis=1)]
+            if packed:
+                c1 = [((u == 1) & (x == s)).sum(axis=1).astype(np.float64) for s in range(a)]
+                want = code._tv_from_c1(c1, comp, *code._nj_split(code.target))
+            else:
+                counts = cc._type_counts(x[None, :] * k + u, a * k)
+                want = cc._tv_rows(counts, n, code.target.mass.ravel())
+            assert looked.tobytes() == want.tobytes()
+
+
 class TestPackedBatch:
     """The batched walk and scan on whole chunks, against brute force."""
 

@@ -15,6 +15,7 @@ from coordlab import prob_core as pc
 from coordlab import region_solver as rs
 from coordlab.cli import load_problem_spec
 from coordlab.coordination_code import (
+    _all_blocks,
     _enumerate_inputs,
     _tv_rows,
     _type_counts,
@@ -175,7 +176,7 @@ class TestCodeTable:
         monkeypatch.setattr(orc, "_TABLE_SLICE", slice_symbols)
         mass = np.random.default_rng(3).dirichlet(np.ones(12))
         n = 3
-        x, y, z = orc._all_blocks(3, n), orc._all_blocks(2, n), orc._all_blocks(2, n)
+        x, y, z = _all_blocks(3, n), _all_blocks(2, n), _all_blocks(2, n)
         tv = orc._code_tv_table(x, y, z, (3, 2, 2), mass)
         # every (y, z, x) triple's joint codes at once
         jc = (x[None, None, :, :] * 2 + y[:, None, None, :]) * 2 + z[None, :, None, :]
@@ -398,7 +399,7 @@ def random_cascade():
 def loop_cascade(p0, target, n, rate1, rate2):
     """Reference: nested loops over z-codeword sets, then (y, z) pair sets."""
     sizes = target.mass.shape
-    x_blocks, y_blocks, z_blocks = (orc._all_blocks(size, n) for size in sizes)
+    x_blocks, y_blocks, z_blocks = (_all_blocks(size, n) for size in sizes)
     probs = p0.mass[x_blocks].prod(axis=1)
     nx, uy, uz = len(x_blocks), len(y_blocks), len(z_blocks)
     jc = (
@@ -437,7 +438,7 @@ def cascade_columns():
     """The (y-codeword, z-message) columns of one z-codeword set."""
     p0, target = random_cascade()
     sizes, n = target.mass.shape, 2
-    x_blocks, y_blocks, z_blocks = (orc._all_blocks(size, n) for size in sizes)
+    x_blocks, y_blocks, z_blocks = (_all_blocks(size, n) for size in sizes)
     jc = (
         x_blocks[:, None, None, :] * sizes[1] + y_blocks[None, :, None, :]
     ) * sizes[2] + z_blocks[None, None, :, :]
