@@ -7,8 +7,11 @@ convex. Accelerated projected gradient (FISTA) minimizes them. The
 Euclidean projection is a per-row soft-threshold: its simplex multiplier
 is found between sorted breakpoints (Condat 2016, "Fast projection onto
 the simplex and the l1 ball"), its ball multiplier by safeguarded Newton
-steps on the piecewise-linear l1 cost, exact on a fixed active pattern
-and warm-started from the last projection. The linear minimization
+steps on the piecewise-linear l1 cost. On a fixed active pattern that
+cost is affine in the multiplier with a closed-form root; each step goes
+to the root of the pattern just met, and the search starts at the root
+of the last projection's pattern for the new point, where one prox
+evaluation usually meets the budget. The linear minimization
 behind the Frank-Wolfe duality gap is a fractional knapsack
 solved greedily. The gap is checked after every iteration and the
 first iterate it certifies is returned. Endpoints (delta = 0 and delta
@@ -135,8 +138,12 @@ class _NeighborhoodProgram:
         self.w = p0.mass[self.support]
         self.p = rows[self.support]
         self.k, self.m = self.p.shape
+        self._rows, self._w2 = np.arange(self.k), self.w**2
         self.budget = 2.0 * delta  # sum_x w_x ||q_x - p_x||_1 <= 2 delta
-        self._mu = 0.0  # ball multiplier of the last projection
+        # active pattern of the last projection, and ball multiplier of the
+        # last one on the ball's boundary: the start where the pattern's
+        # cost is flat in mu
+        self._mu, self._pattern = 0.0, None
 
     # objective pieces -------------------------------------------------
 
@@ -158,72 +165,112 @@ class _NeighborhoodProgram:
     def _prox_rows(self, v: np.ndarray, c: np.ndarray):
         """Per row, argmin of 1/2||q_x - v_x||^2 + c_x ||q_x - p_x||_1 over the
         simplex: max(p + soft(v - nu - p, c), 0) with the simplex multiplier
-        nu solved exactly between sorted breakpoints. Also returns the slope
-        in mu of the l1 cost at c = mu w on this active pattern,
-        -sum_x w_x^2 4|U_x||D_x|/(|U_x|+|D_x|); U_x, D_x are the entries with
-        q > 0 above and below the band |d - nu| <= c_x."""
+        nu solved exactly between sorted breakpoints. Also returns the active
+        pattern (s, zero): s is +1 on U, the entries above the band
+        |d - nu| <= c_x, -1 on D, those below it with q > 0, and 0 elsewhere;
+        zero marks the entries clipped to q = 0."""
         d = v - self.p
         # Each entry is nonincreasing and piecewise linear in nu, with kinks
         # at d - c, d + c and v + c (where it reaches zero); so is the row sum,
         # which is 0 at the last breakpoint.
         cc = c[:, None]
-        bp = np.sort(np.concatenate([d - cc, d + cc, v + cc], axis=1), axis=1)
+        bp = np.concatenate([d - cc, d + cc, v + cc], axis=1)
+        bp.sort(axis=1)
         sums = _prox_entries(
             self.p[:, None, :], d[:, None, :], c[:, None, None], bp[:, :, None]
         ).sum(axis=2)
         j = (sums >= 1.0).sum(axis=1) - 1
-        nu = np.empty(self.k)
-        # Left of every breakpoint all m entries fall with slope -1.
+        # Left of every breakpoint all m entries fall with slope -1: there
+        # the interpolation runs from the first breakpoint at slope -m.
         left = j < 0
-        nu[left] = bp[left, 0] - (1.0 - sums[left, 0]) / self.m
-        r, j = np.nonzero(~left)[0], j[~left]
-        s0, s1 = sums[r, j], sums[r, j + 1]
-        nu[r] = bp[r, j] + (s0 - 1.0) / (s0 - s1) * (bp[r, j + 1] - bp[r, j])
+        j = j + left
+        rows = self._rows
+        b0, s0, s1 = bp[rows, j], sums[rows, j], sums[rows, j + 1]
+        nu = b0 + (s0 - 1.0) / np.where(left, self.m, s0 - s1) * np.where(
+            left, 1.0, bp[rows, j + 1] - b0
+        )
         q = _prox_entries(self.p, d, cc, nu[:, None])
         t = d - nu[:, None]
-        up, down = (t > cc).sum(axis=1), ((t < -cc) & (q > 0.0)).sum(axis=1)
-        slope = -4.0 * float((self.w**2 * up * down / np.maximum(up + down, 1)).sum())
+        zero = q == 0.0
+        s = (t > cc).astype(float) - ((t < -cc) & ~zero)
         # A row far from the simplex leaves nu with few low bits; the
         # renormalization keeps its sum within rounding of 1.
-        return q / q.sum(axis=1, keepdims=True), slope
+        return q / q.sum(axis=1, keepdims=True), (s, zero)
+
+    def _pattern_root(self, d: np.ndarray, pattern) -> float:
+        """The mu at which the l1 cost, extended affinely from one active
+        pattern of ``_prox_rows``, meets the budget; nan where that cost is
+        flat in mu (or there is no pattern).
+
+        On the pattern, with n_x = |U_x| + |D_x| and c_x = mu w_x, the row
+        sum fixes nu_x = a_x + c_x (|D_x| - |U_x|) / n_x, where
+        a_x = (sum_{U,D} d - sum_Z p) / n_x, and row x costs
+        w_x (sum_y s (d - nu_x) - n_x c_x + sum_Z p): affine in mu, with
+        slope -w_x^2 4|U_x||D_x| / n_x. A row with n_x = 0 costs a constant.
+        """
+        if pattern is None:
+            return math.nan
+        s, zero = pattern
+        free = np.abs(s)
+        n, sigma = free.sum(axis=1), s.sum(axis=1)  # |U|+|D|, |U|-|D|
+        slope = float((self._w2 * (sigma * sigma - n * n) / np.maximum(n, 1.0)).sum())
+        if slope == 0.0:
+            return math.nan
+        p_zero = (self.p * zero).sum(axis=1)
+        a = ((free * d).sum(axis=1) - p_zero) / np.maximum(n, 1.0)
+        cost = float(self.w @ ((s * d).sum(axis=1) - a * sigma + p_zero))
+        return (self.budget - cost) / slope
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Exact Euclidean projection onto (simplex rows) and (l1 ball).
 
         With ball multiplier mu every row is ``_prox_rows`` at c = mu w; its
-        l1 cost L(mu) is nonincreasing and piecewise linear, so a Newton step
-        to L = budget is exact on a fixed active pattern. Steps start at the
-        last projection's mu, bisect a bracket on the root when they leave
-        it, and probe mu = 0 only when one reaches it.
+        l1 cost L(mu) is nonincreasing and piecewise linear, so on a fixed
+        active pattern its root is closed-form and a Newton step is exact.
+        The search starts at the root of the last projection's pattern for
+        this v, which holds in most projections of a FISTA run, so one prox
+        meets the budget; each step goes to the root of the pattern just
+        met, bisects a bracket on the root when it leaves it, and probes
+        mu = 0 only when one reaches it.
         """
         v = v - v.max(axis=1, keepdims=True)  # row shifts do not move it
         d = v - self.p
         # Past hi every row's prox is the target row; lo = 0 is unprobed.
-        lo, f_lo, q_lo = 0.0, np.inf, None
+        lo, f_lo, q_lo, pat_lo = 0.0, np.inf, None, None
         hi = float(((d.max(axis=1) - d.min(axis=1)) / (2.0 * self.w)).max())
-        f_hi, q_hi = -self.budget, self.p.copy()
-        mu = self._mu if self._mu < hi else 0.0
+        f_hi, q_hi, pat_hi = -self.budget, self.p.copy(), None
+        mu = self._pattern_root(d, self._pattern)
+        if math.isnan(mu):
+            mu = self._mu
+        mu = max(mu, 0.0) if mu < hi else 0.0
         for _ in range(_ROOT_STEPS):
-            q, slope = self._prox_rows(v, mu * self.w)
+            q, pattern = self._prox_rows(v, mu * self.w)
             f = self.l1_cost(q) - self.budget
             if f > 0.0:
-                lo, f_lo, q_lo = mu, f, q
+                lo, f_lo, q_lo, pat_lo = mu, f, q, pattern
             elif mu == 0.0:
+                self._pattern = pattern
                 return q
             else:
-                hi, f_hi, q_hi = mu, f, q
+                hi, f_hi, q_hi, pat_hi = mu, f, q, pattern
             # Stop once an end meets the budget to the rounding of the cost
-            # sum, or the bracket has closed to rounding.
+            # sum, mu is its own pattern's root, or the bracket has closed
+            # to rounding.
             if min(f_lo, -f_hi) <= 1e-15:
                 break
-            mu = mu - f / slope if slope < 0.0 else (hi if f > 0.0 else lo)
+            root = self._pattern_root(d, pattern)
+            if root == mu:
+                break
+            mu = root if not math.isnan(root) else (hi if f > 0.0 else lo)
             if mu <= 0.0 and f_lo == np.inf:
                 mu = 0.0
             elif not lo < mu < hi:
                 mu = 0.5 * (lo + hi)
                 if not lo < mu < hi:
                     break
-        q, self._mu = (q_lo, lo) if f_lo < -f_hi else (q_hi, hi)
+        q, self._mu, self._pattern = (
+            (q_lo, lo, pat_lo) if f_lo < -f_hi else (q_hi, hi, pat_hi)
+        )
         # A rounding excess goes back along the ray to the target, which
         # scales the l1 cost linearly and stays inside the simplex.
         cost = self.l1_cost(q)

@@ -1,12 +1,16 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from coordlab import cli
 from coordlab import prob_core as pc
 from coordlab import region_solver as rs
 from coordlab.instances import random_two_node_instances
+
+SPEC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "specs")
 
 
 def h2(t):
@@ -361,6 +365,28 @@ class TestCascade:
             assert {p.lam for p in pts} <= set(lams)
             assert max(p.certificate for p in pts) <= cfg.duality_gap_tol
 
+    def test_cascade_spec_within_old_certificates(self):
+        # scripts/specs/cascade_small.json: per delta, the frontier's
+        # (lam, R1, R2, certificate) as solved when each ball-multiplier
+        # search started from the last multiplier; the frontier's weighted
+        # minimum at every spec weight now lies within those certificates
+        old = {
+            0.0: [(None, 0.7420858585497175, 0.5310044064107188, 0.0)],
+            0.1: [(0.0, 0.35366528911159856, 0.27807190511263763, 1.968487789438811e-09)],
+            0.25: [(0.0, 0.08104043928211482, 0.0659319446245096, 6.568355789826619e-09)],
+        }
+        spec = cli.load_problem_spec(os.path.join(SPEC_DIR, "cascade_small.json"))
+        assert tuple(spec.delta_grid) == tuple(old)
+        tol = spec.solver.duality_gap_tol
+        for delta, points in old.items():
+            pts = rs.solve_cascade(spec.source, spec.target, delta, spec.solver)
+            assert max(p.certificate for p in pts) <= tol
+            cert = max(c for *_, c in points)
+            for w in spec.solver.scalarization_weights:
+                new = min(w * p.R1 + (1.0 - w) * p.R2 for p in pts)
+                want = min(w * r1 + (1.0 - w) * r2 for _, r1, r2, _ in points)
+                assert abs(new - want) <= cert + 1e-15
+
     def test_points_feasible(self, uniform_binary, cascade_target):
         cfg = rs.SolverConfig(scalarization_weights=(0.0, 0.5, 1.0))
         for pt in rs.solve_cascade(uniform_binary, cascade_target, 0.1, cfg):
@@ -461,7 +487,9 @@ class TestProjection:
 
     def test_prox_calls_per_projection(self, monkeypatch):
         # criterion 03/05's battery: 9 radii on [0, delta*] per instance;
-        # the bracketed secant search took 6.7 prox calls per projection
+        # the bracketed secant search took 6.7 prox calls per projection,
+        # Newton steps from the last multiplier 2.9, and steps from the
+        # last pattern's root take 1.11
         calls = {"prox": 0, "project": 0}
         prox, project = rs._NeighborhoodProgram._prox_rows, rs._NeighborhoodProgram.project
 
@@ -479,7 +507,81 @@ class TestProjection:
             for d in np.linspace(0.0, rs.delta_star(p0, tgt), 9):
                 rs.solve_two_node(p0, tgt, float(d))
         assert calls["project"] > 1000
-        assert calls["prox"] <= 3.5 * calls["project"]
+        assert calls["prox"] <= 1.5 * calls["project"]
+
+
+def shifted_d(prog, v):
+    """d = v - p after the row shift ``project`` applies."""
+    return v - v.max(axis=1, keepdims=True) - prog.p
+
+
+def assert_matches_cold(prog, v):
+    """Projects v with prog, whatever pattern it has stored, and with a
+    fresh program; both must be the projection, to rounding."""
+    cold = rs._NeighborhoodProgram(prog.p0, prog.target, prog.delta)
+    q_warm, q_cold = prog.project(v), cold.project(v)
+    spread = float((v.max(axis=1) - v.min(axis=1)).max())
+    assert np.abs(q_warm - q_cold).max() <= 1e-15 * max(1.0, spread**2)
+    for q in (q_warm, q_cold):
+        assert_feasible(prog, q)
+        assert variational_gap(prog, v, q) <= 1e-12
+    return q_warm
+
+
+class TestStoredPattern:
+    """The search starts at the root of the last projection's pattern;
+    these are the starts where that pattern is wrong or degenerate."""
+
+    def test_pattern_from_far_away(self):
+        rng = np.random.default_rng(51)
+        p0, tgt = pc.Pmf([0.3, 0.7]), pc.CondPmf([[0.6, 0.3, 0.1], [0.2, 0.2, 0.6]])
+        for _ in range(10):
+            prog = rs._NeighborhoodProgram(p0, tgt, 0.08)
+            prog.project(prog.p + 1e3 * rng.standard_normal(prog.p.shape))
+            v = prog.p + 0.1 * rng.standard_normal(prog.p.shape)
+            start = prog._pattern_root(shifted_d(prog, v), prog._pattern)
+            assert_matches_cold(prog, v)
+            assert start != prog._mu  # the stored pattern did not hold
+
+    def test_slack_ball(self):
+        # the stored pattern's root for v is below 0; the projection is
+        # v's simplex projection, strictly inside the ball (mu = 0)
+        rng = np.random.default_rng(52)
+        p0, tgt = pc.Pmf([0.3, 0.7]), pc.CondPmf([[0.6, 0.3, 0.1], [0.2, 0.2, 0.6]])
+        prog = rs._NeighborhoodProgram(p0, tgt, 0.3)
+        prog.project(prog.p + 3.0 * rng.standard_normal(prog.p.shape))
+        assert prog._mu > 0.0
+        v = prog.p + 0.02 * rng.standard_normal(prog.p.shape)
+        assert prog._pattern_root(shifted_d(prog, v), prog._pattern) < 0.0
+        q = assert_matches_cold(prog, v)
+        assert prog.l1_cost(q) < prog.budget
+
+    def test_row_without_free_entries(self):
+        # the heavy row sits inside its band at the root, |U| + |D| = 0
+        p0, tgt = pc.Pmf([0.9, 0.1]), pc.CondPmf([[0.5, 0.3, 0.2], [0.2, 0.2, 0.6]])
+        prog = rs._NeighborhoodProgram(p0, tgt, 0.02)
+        q = assert_matches_cold(prog, prog.p + np.array([[0.01, -0.01, 0.0], [0.6, -0.3, -0.3]]))
+        s, _ = prog._pattern
+        assert np.array_equal(np.abs(s).sum(axis=1), [0.0, 3.0])
+        assert np.array_equal(q[0], prog.p[0])
+        v = prog.p + np.array([[0.012, -0.008, 0.0], [0.5, -0.2, -0.3]])
+        start = prog._pattern_root(shifted_d(prog, v), prog._pattern)
+        assert np.isfinite(start)
+        assert_matches_cold(prog, v)
+        assert prog._mu == start  # the pattern held: one prox evaluation
+
+    @pytest.mark.parametrize(
+        "p0",
+        [pc.Pmf([1.0]), pc.Pmf([0.6, 0.0, 0.4])],
+        ids=["one row", "zero-mass row"],
+    )
+    def test_small_programs(self, p0):
+        rng = np.random.default_rng(53)
+        tgt = pc.CondPmf(rng.dirichlet(np.ones(3), size=p0.alphabet_size))
+        prog = rs._NeighborhoodProgram(p0, tgt, 0.5 * rs.delta_star(p0, tgt))
+        assert prog.k == int((p0.mass > 0.0).sum())
+        for scale in np.repeat([1e-2, 1e-1, 1.0], 7):
+            assert_matches_cold(prog, prog.p + scale * rng.standard_normal(prog.p.shape))
 
 
 class TestLinearMin:
