@@ -57,9 +57,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
-from coordlab.prob_core import CondPmf, JointPmf, Pmf, TV_SLACK, compose, total_variation
+from coordlab.prob_core import CondPmf, JointPmf, Pmf, TV_SLACK, compose, total_variation, xlogx
 from coordlab.coordination_code import (
     TableCode,
     _all_blocks,
@@ -203,7 +202,7 @@ def grid_min_mi(
     cand = [c[kept] for c, kept in zip(cand, keep)]
     tv_cost = [c[kept] for c, kept in zip(tv_cost, keep)]
     sizes = [c.shape[0] for c in cand]
-    plogp = [w[x] * (xlogy(cand[x], cand[x]).sum(axis=1) / LN2) for x in range(r)]
+    plogp = [w[x] * (xlogx(cand[x]).sum(axis=1) / LN2) for x in range(r)]
     # one column per candidate: TV cost, weighted sum of p log p, weighted row
     cols = [
         np.vstack([tv_cost[x], plogp[x], (w[x] * cand[x]).T]) for x in range(r)
@@ -282,7 +281,7 @@ def _tile_bounds(cols, side: int, threshold: float) -> np.ndarray:
         c_hi = _along(np.maximum.reduceat(c, starts, axis=1), x, r)
         # float addition is monotone, so every cell's sums lie in [lo, hi]
         lo, hi = (c_lo, c_hi) if x == 0 else (lo + c_lo, hi + c_hi)
-    f_lo, f_hi = xlogy(lo[2:], lo[2:]), xlogy(hi[2:], hi[2:])
+    f_lo, f_hi = xlogx(lo[2:]), xlogx(hi[2:])
     width = hi[2:] - lo[2:]
     slope = np.divide(f_hi - f_lo, width, out=np.zeros_like(width), where=width > 0)
     bound = -(f_lo - slope * lo[2:]).sum(axis=0) / LN2 - _BOUND_SLACK
@@ -324,7 +323,7 @@ def _tile_search(cols, side: int, threshold: float, bound: np.ndarray):
         # expressions of one cell at a time (``sum(axis=1)`` over at most
         # four outputs runs left to right; TestPrunedGridMatchesLoop holds
         # the per-cell reference)
-        vals = acc[1] - functools.reduce(np.add, xlogy(acc[2:], acc[2:])) / LN2
+        vals = acc[1] - functools.reduce(np.add, xlogx(acc[2:])) / LN2
         vals[acc[0] > threshold] = np.inf
         # a finite bound means the cell of least TV per row is feasible
         j = int(vals.argmin())

@@ -1,8 +1,9 @@
 """Exact probability algebra on small finite alphabets.
 
 Dense pmfs and conditionals, empirical types of aligned symbol sequences,
-total variation, closed-ball neighborhood tests, mutual information in bits,
-and the averaged-marginal identity for expected types.
+total variation, closed-ball neighborhood tests, mutual information in bits
+(and the elementwise x log helpers behind it and the grid oracle), and the
+averaged-marginal identity for expected types.
 
 Everything is plain numpy on small dense tensors. All container types are
 immutable after construction and all operations are pure functions, so they
@@ -17,13 +18,57 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.special import rel_entr
 
 NORM_TOL = 1e-12   # pmf mass must sum to 1 within this
 TV_SLACK = 1e-12   # closed-ball slack for neighborhood membership
 LN2 = float(np.log(2.0))
+# |ln(x / y)| past which x / y leaves the normal floating-point range
+_LOG_RATIO_FAR = -float(np.log(np.finfo(float).tiny))
 
 _BRUTE_FORCE_GUARD = 100_000  # max sequence count for exact type enumeration
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def xlogx(t) -> np.ndarray:
+    """Elementwise t ln t, with 0 at t = 0 and nan below 0 (as
+    ``scipy.special.xlogy(t, t)``); raises no floating-point warning.
+
+    Works in place on its one output array, so a large argument costs one
+    array of floats and one of bools on top of itself.
+    """
+    t = np.asarray(t, dtype=float)
+    out = np.log(t, out=np.empty(t.shape))
+    np.multiply(t, out, out=out)
+    np.copyto(out, 0.0, where=t == 0.0)
+    return out
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def rel_entr(x, y) -> np.ndarray:
+    """Elementwise x ln(x / y), the terms of a relative entropy in nats,
+    with the values of ``scipy.special.rel_entr``.
+
+    - 0 where x = 0 <= y; +inf where x < 0, or where y <= 0 < x; nan
+      where either is nan.
+    - For x, y > 0 the logarithm of the ratio is log1p((x - y) / y) while
+      x / y lies in (1/2, 2), where x - y is exact; ln x - ln y once x / y
+      leaves the normal range; and ln(x / y) between. Finite values agree
+      with scipy's to a few ulp.
+
+    Raises no floating-point warning.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    log_ratio = np.log(x / y)
+    size = np.abs(log_ratio)
+    log_ratio = np.where(size < LN2, np.log1p((x - y) / y), log_ratio)
+    log_ratio = np.where(size < _LOG_RATIO_FAR, log_ratio, np.log(x) - np.log(y))
+    # right where x, y > 0 and where either is nan (nan there too), and
+    # +inf at y = 0 < x; the rest is nan or has the wrong sign
+    out = np.asarray(x * log_ratio)
+    out[(x == 0.0) & (y >= 0.0)] = 0.0
+    out[np.minimum(x, y) < 0.0] = np.inf
+    return out
 
 
 def _frozen_mass(values, what: str) -> np.ndarray:

@@ -3,7 +3,9 @@
 The feasible set (conditionals whose composition with the source stays
 within total variation delta of a target) is the intersection of per-row
 probability simplices with one weighted-l1 ball, and the objectives are
-convex. Accelerated projected gradient (FISTA) minimizes them. The
+convex. Accelerated projected gradient (FISTA) minimizes them, taking
+each objective value it compares from the gradient at the same point
+(the objectives are homogeneous of degree 1: f(q) = <q, grad f(q)>). The
 Euclidean projection is a per-row soft-threshold: its simplex multiplier
 is found between sorted breakpoints (Condat 2016, "Fast projection onto
 the simplex and the l1 ball"), its ball multiplier by safeguarded Newton
@@ -37,9 +39,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import rel_entr
 
-from coordlab.prob_core import CondPmf, Pmf, compose, in_delta_neighborhood
+from coordlab.prob_core import CondPmf, Pmf, compose, in_delta_neighborhood, rel_entr
 
 LN2 = math.log(2.0)
 _TINY = 1e-30          # gradient floor; keeps log ratios finite at the boundary
@@ -148,9 +149,8 @@ class _NeighborhoodProgram:
     # objective pieces -------------------------------------------------
 
     def mi(self, q: np.ndarray) -> float:
-        joint = self.w[:, None] * q
-        marg = joint.sum(axis=0)
-        return float(rel_entr(joint, np.outer(self.w, marg)).sum() / LN2)
+        # joint / (w x output marginal) = q / marginal
+        return float((self.w @ rel_entr(q, self.w @ q)).sum() / LN2)
 
     def mi_grad(self, q: np.ndarray) -> np.ndarray:
         marg = (self.w[:, None] * q).sum(axis=0)
@@ -305,13 +305,29 @@ class _NeighborhoodProgram:
         return max(float((grad * (q - self.linear_min(grad))).sum()), 0.0)
 
 
-def _fista(prog, value, gradient, q0: np.ndarray, config: SolverConfig):
+def _objective(q: np.ndarray, grad: np.ndarray) -> float:
+    """The objective at q from its gradient there.
+
+    I(X; Yhat) and every weighted sum of such terms is positively
+    homogeneous of degree 1 in the rows, so f(q) = <q, grad f(q)> (Euler's
+    identity, up to the entries that ``mi_grad`` clamps at _TINY). Off the
+    nonnegative orthant f is +inf, as mutual information is undefined
+    there; FISTA's extrapolated point can land there. This costs one
+    product and sum where evaluating I(X; Yhat) itself (``rel_entr``'s
+    masks and regimes) costs some 20 small numpy calls.
+    """
+    return math.inf if q.min() < 0.0 else float((q * grad).sum())
+
+
+def _fista(prog, gradient, q0: np.ndarray, config: SolverConfig):
     """Accelerated projected gradient with restart and a gap check after
     every iteration.
 
-    ``value``/``gradient`` act on support-restricted row matrices; returns
-    (feasible iterate, value, certified gap): the first iterate certified
-    at the tolerance, or else the best certificate seen.
+    ``gradient`` is the objective's, on support-restricted row matrices,
+    and every objective value FISTA compares comes from the gradient at the
+    same point (``_objective``). Returns (feasible iterate, certified gap):
+    the first iterate certified at the tolerance, or else the one with the
+    best certificate seen.
     """
     tol = config.duality_gap_tol
     iterations = config.max_iterations
@@ -319,7 +335,7 @@ def _fista(prog, value, gradient, q0: np.ndarray, config: SolverConfig):
     v = q.copy()
     t = 1.0
     lip = 1.0
-    f_q = value(q)
+    f_q = _objective(q, gradient(q))
     best = (np.inf, None, np.inf)
     sampled = np.inf
 
@@ -329,13 +345,14 @@ def _fista(prog, value, gradient, q0: np.ndarray, config: SolverConfig):
     while it < iterations:
         it += 1
         g_v = gradient(v)
-        f_v = value(v)
+        f_v = _objective(v, g_v)
         lip = max(lip / 2.0, 1e-6)
         for _ in range(60):
             cand = prog.project(v - g_v / lip)
             diff = cand - v
             quad = f_v + (g_v * diff).sum() + 0.5 * lip * (diff * diff).sum()
-            f_cand = value(cand)
+            g_cand = gradient(cand)
+            f_cand = _objective(cand, g_cand)
             if f_cand <= quad + 1e-15:
                 break
             lip *= 2.0
@@ -345,11 +362,11 @@ def _fista(prog, value, gradient, q0: np.ndarray, config: SolverConfig):
             v = cand.copy()
             t_next = 1.0
         q, f_q, t = cand, f_cand, t_next
-        gap = prog.gap_at(q, gradient(q))
+        gap = prog.gap_at(q, g_cand)
         if f_q + gap < best[0] + best[2]:
             best = (f_q, q, gap)
         if gap <= tol:
-            return q, f_q, gap
+            return q, gap
         # When the certified value-plus-gap of the iterates sampled every
         # _STALL_WINDOW iterations stops improving, the iterate has
         # plateaued short of the tolerance; report the best certificate
@@ -364,7 +381,7 @@ def _fista(prog, value, gradient, q0: np.ndarray, config: SolverConfig):
             last_metric = sampled
             if stalled >= 6:
                 break
-    return best[1], best[0], best[2]
+    return best[1], best[2]
 
 
 def delta_star(p0: Pmf, target: CondPmf) -> float:
@@ -445,12 +462,9 @@ def solve_two_node(
         raise ValueError("two-node target must have a single output axis")
     prog = _NeighborhoodProgram(p0, target, delta)
     q, closed = _start(prog)
-    if closed:
-        point_value, gap = prog.mi(q), 0.0
-    else:
-        q, point_value, gap = _fista(prog, prog.mi, prog.mi_grad, q, config)
+    q, gap = (q, 0.0) if closed else _fista(prog, prog.mi_grad, q, config)
     return RegionPoint(
-        R1=point_value,
+        R1=prog.mi(q),
         delta=delta,
         argmin_conditional=_restore_rows(prog, q),
         certificate=gap,
@@ -505,13 +519,10 @@ def solve_cascade(
         # other term breaks the tie toward the lower-left frontier corner.
         w = min(max(1.0 if lam is None else lam, 1e-6), 1.0 - 1e-6)
 
-        def value(q, w=w):
-            return w * prog.mi(q) + (1.0 - w) * mi_z(q)
-
         def gradient(q, w=w):
             return w * prog.mi_grad(q) + (1.0 - w) * mi_z_grad(q)
 
-        q, _, gap = _fista(prog, value, gradient, q, config)
+        q, gap = _fista(prog, gradient, q, config)
         if lam is not None:
             points.append(point_for(q, gap, lam))
     # back in weight order, where the filter keeps the first of duplicates

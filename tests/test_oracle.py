@@ -7,7 +7,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import xlogy
 
 from coordlab import instances as ins
 from coordlab import oracle as orc
@@ -577,7 +576,7 @@ def loop_grid_min_mi(p0, target, delta, grid_step):
         for x in range(len(cand))
     ]
     plogp = [
-        w[x] * (xlogy(cand[x], cand[x]).sum(axis=1) / orc.LN2)
+        w[x] * (pc.xlogx(cand[x]).sum(axis=1) / orc.LN2)
         for x in range(len(cand))
     ]
     best_val, best_lin = np.inf, -1
@@ -595,7 +594,7 @@ def loop_grid_min_mi(p0, target, delta, grid_step):
         for x in range(1, len(cand)):
             mix += w[x] * cand[x][idx[x][feas]]
             ent_in += plogp[x][idx[x][feas]]
-        vals = ent_in - xlogy(mix, mix).sum(axis=1) / orc.LN2
+        vals = ent_in - pc.xlogx(mix).sum(axis=1) / orc.LN2
         j = int(vals.argmin())
         if vals[j] < best_val:
             best_val, best_lin = float(vals[j]), int(lin[feas][j])
@@ -756,7 +755,7 @@ def tile_least(cols, side, threshold):
             index = [slice(None)] * (r + 1)
             index[x + 1] = slice(corner[x], corner[x] + side)
             acc = acc + a[tuple(index)]
-        vals = acc[1] - xlogy(acc[2:], acc[2:]).sum(axis=0) / orc.LN2
+        vals = acc[1] - pc.xlogx(acc[2:]).sum(axis=0) / orc.LN2
         vals[acc[0] > threshold] = np.inf
         least[tuple(c // side for c in corner)] = vals.min()
     return least
@@ -772,7 +771,7 @@ def peak_bound(cols, side, threshold):
         shape = c.shape[:1] + (1,) * x + (len(starts),) + (1,) * (r - 1 - x)
         lo = lo + np.minimum.reduceat(c, starts, axis=1).reshape(shape)
         hi = hi + np.maximum.reduceat(c, starts, axis=1).reshape(shape)
-    peak = np.maximum(xlogy(lo[2:], lo[2:]), xlogy(hi[2:], hi[2:])).sum(axis=0)
+    peak = np.maximum(pc.xlogx(lo[2:]), pc.xlogx(hi[2:])).sum(axis=0)
     bound = lo[1] - peak / orc.LN2 - orc._BOUND_SLACK
     bound[lo[0] > threshold] = np.inf
     return bound
@@ -812,7 +811,7 @@ def row_cols(w, cand, target_row):
     """One support row's columns, as ``grid_min_mi`` builds them."""
     cand = np.asarray(cand, dtype=float)
     tv = 0.5 * w * np.abs(cand - np.asarray(target_row)[None, :]).sum(axis=1)
-    plogp = w * (xlogy(cand, cand).sum(axis=1) / orc.LN2)
+    plogp = w * (pc.xlogx(cand).sum(axis=1) / orc.LN2)
     return np.vstack([tv, plogp, (w * cand).T])
 
 

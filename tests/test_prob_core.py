@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import rel_entr, xlogy
 
 from coordlab import prob_core as pc
 
@@ -180,6 +186,95 @@ class TestMutualInformation:
             pc.mutual_information(identity_joint, groups=((0, 1), ()))
         with pytest.raises(ValueError):
             pc.mutual_information(identity_joint, groups=((0,), (0, 1)))
+
+
+def hard_pairs(seed=3, n=20_000):
+    """(x, y) arrays mixing zeros (both signs), subnormals, ratios in
+    (1/2, 2), ratios past the float range, negatives, infinities and nan."""
+    rng = np.random.default_rng(seed)
+    y = rng.random(n) * 10.0 ** rng.integers(-320, 300, n)
+    near = rng.uniform(0.5, 2.0, n)
+    with np.errstate(over="ignore"):
+        far = 10.0 ** rng.uniform(-400.0, 400.0, n)
+        x = y * np.where(rng.random(n) < 0.5, near, far)
+    x[::17] = 0.0
+    y[::23] = 0.0
+    y[::37] = -0.0
+    x[::29] *= -1.0
+    y[::31] *= -1.0
+    x[::59] = 5e-324
+    y[::61] = 2.5e-320
+    x[::41] = np.nan
+    y[::43] = np.nan
+    x[::47] = np.inf
+    y[::53] = np.inf
+    return x, y
+
+
+def assert_same_values(got, want, ulps):
+    """Same nan/+inf/-inf/zero pattern, finite values within ``ulps``."""
+    for where in (np.isnan, np.isposinf, np.isneginf, lambda a: a == 0.0):
+        assert np.array_equal(where(got), where(want))
+    finite = np.isfinite(want) & (want != 0.0)
+    off = np.abs(got[finite] - want[finite]) / np.spacing(np.abs(want[finite]))
+    assert off.max() <= ulps
+
+
+class TestXlogHelpers:
+    """``rel_entr`` and ``xlogx`` against scipy.special, the reference for
+    the values and the zero/inf/nan conventions."""
+
+    def test_rel_entr_matches_scipy(self):
+        x, y = hard_pairs()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pc.rel_entr(x, y)
+        assert_same_values(got, rel_entr(x, y), 4)
+
+    def test_rel_entr_near_one(self):
+        # x / y within 1e-9 of 1, where ln(x / y) alone loses most digits:
+        # against the exact value, rounded once
+        rng = np.random.default_rng(4)
+        y = rng.random(2_000)
+        x = y * (1.0 + rng.uniform(-1e-9, 1e-9, y.size))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            exact = np.array([float(Decimal(a) * (Decimal(a) / Decimal(b)).ln()) for a, b in zip(x, y)])
+        assert_same_values(pc.rel_entr(x, y), exact, 4)
+
+    def test_xlogx_matches_scipy(self):
+        x, _ = hard_pairs()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pc.xlogx(x)
+        assert_same_values(got, xlogy(x, x), 4)
+
+    def test_rel_entr_domain(self):
+        x = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, -1.0, -1.0, 0.0])
+        y = np.array([0.0, 2.0, -1.0, 0.0, -0.0, -2.0, 2.0, -2.0, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pc.rel_entr(x, y)
+        inf = np.inf
+        assert got.tolist() == [0.0, 0.0, inf, inf, inf, inf, inf, inf, 0.0]
+
+    def test_broadcast_and_scalars(self):
+        q = np.array([[0.5, 0.5, 0.0], [0.2, 0.0, 0.8]])
+        r = np.array([0.35, 0.25, 0.4])
+        assert np.array_equal(pc.rel_entr(q, r), rel_entr(q, r))
+        assert float(pc.rel_entr(0.0, 0.0)) == 0.0
+        assert float(pc.rel_entr(2.0, 0.0)) == math.inf
+        assert float(pc.xlogx(0.0)) == 0.0
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, coordlab.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestExpectedType:

@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -293,6 +294,52 @@ class TestStart:
         assert ds == 0.5
         pt = rs.solve_two_node(p0, tgt, 0.9 * ds)
         assert pt.certificate <= rs.SolverConfig().duality_gap_tol
+
+
+class TestObjective:
+    def test_off_the_orthant_is_inf(self, monkeypatch):
+        # FISTA's extrapolated points on the skewed ternary identity leave
+        # the nonnegative orthant; there I(X; Yhat) is +inf, with no
+        # floating-point warning (the step is rejected at once)
+        p0, tgt = pc.Pmf([0.2, 0.3, 0.5]), pc.CondPmf(np.eye(3))
+        outside = []
+        objective = rs._objective
+
+        def spy(q, grad):
+            if q.min() < 0.0 and not outside:
+                outside.append(q.copy())
+            return objective(q, grad)
+
+        monkeypatch.setattr(rs, "_objective", spy)
+        rs.solve_two_node(p0, tgt, 0.45)
+        assert outside
+        v = outside[0]
+        prog = rs._NeighborhoodProgram(p0, tgt, 0.45)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert prog.mi(v) == math.inf
+            assert objective(v, prog.mi_grad(v)) == math.inf
+
+    @pytest.mark.parametrize("fraction", [0.2, 0.6])
+    def test_objective_from_gradient(self, fraction):
+        # Euler's identity, on which FISTA's values rest: <q, grad f(q)>
+        # is f(q) for I(X; Yhat) and for the cascade's weighted objective
+        rng = np.random.default_rng(33)
+        for prog in battery_programs(fraction):
+            q = rng.dirichlet(np.ones(prog.m), size=prog.k)
+            q[rng.random(q.shape) < 0.2] = 0.0
+            q /= np.maximum(q.sum(axis=1, keepdims=True), 1e-300)
+            assert rs._objective(q, prog.mi_grad(q)) == pytest.approx(prog.mi(q), abs=1e-15)
+        p0, tgt = pc.Pmf([0.3, 0.7]), pc.CondPmf([[[0.5, 0.1], [0.2, 0.2]], [[0.1, 0.1], [0.1, 0.7]]])
+        prog = rs._NeighborhoodProgram(p0, tgt, 0.1)
+        q = rng.dirichlet(np.ones(4), size=2)
+
+        def z_rows(q):
+            return q.reshape(2, 2, 2).sum(axis=1)
+
+        grad = 0.3 * prog.mi_grad(q) + 0.7 * np.repeat(prog.mi_grad(z_rows(q))[:, None, :], 2, axis=1).reshape(2, -1)
+        want = 0.3 * prog.mi(q) + 0.7 * prog.mi(z_rows(q))
+        assert rs._objective(q, grad) == pytest.approx(want, abs=1e-15)
 
 
 class TestCascade:
