@@ -5,9 +5,15 @@ within total variation delta of a target) is the intersection of per-row
 probability simplices with one weighted-l1 ball, and the objectives are
 convex. Accelerated projected gradient (FISTA) minimizes them, taking
 each objective value it compares from the gradient at the same point
-(the objectives are homogeneous of degree 1: f(q) = <q, grad f(q)>). The
-Euclidean projection is a per-row soft-threshold: its simplex multiplier
-is found between sorted breakpoints (Condat 2016, "Fast projection onto
+(the objectives are homogeneous of degree 1: f(q) = <q, grad f(q)>). Its
+backtracking estimate of the Lipschitz constant falls as well as rises:
+each step's first trial is the larger of half the last estimate and
+_CURVATURE_MARGIN times the curvature the last accepted step measured
+(Scheinberg, Goldfarb & Bai 2014), which on criterion 03/05's battery
+cuts the projections from 1,613 to 1,031 (halving alone rejected 691
+trials, the first one in 557 of 782 iterations). The Euclidean
+projection is a per-row soft-threshold: its simplex multiplier is found
+between sorted breakpoints (Condat 2016, "Fast projection onto
 the simplex and the l1 ball"), its ball multiplier by safeguarded Newton
 steps on the piecewise-linear l1 cost. On a fixed active pattern that
 cost is affine in the multiplier with a closed-form root; each step goes
@@ -46,6 +52,7 @@ LN2 = math.log(2.0)
 _TINY = 1e-30          # gradient floor; keeps log ratios finite at the boundary
 _ROOT_STEPS = 100      # bracket steps of the ball-multiplier search
 _STALL_WINDOW = 25     # iterations between samples of the plateau test
+_CURVATURE_MARGIN = 1.1  # first trial step above the last measured curvature
 
 
 def _real(v) -> bool:
@@ -328,6 +335,17 @@ def _fista(prog, gradient, q0: np.ndarray, config: SolverConfig):
     same point (``_objective``). Returns (feasible iterate, certified gap):
     the first iterate certified at the tolerance, or else the one with the
     best certificate seen.
+
+    Each step backtracks on the sufficient-decrease test f(cand) <= f(v) +
+    <grad f(v), cand - v> + lip/2 ||cand - v||^2, doubling lip on a
+    rejection. The accepted step measures the curvature c = 2 (f(cand) -
+    f(v) - <grad f(v), cand - v>) / ||cand - v||^2, the least lip it would
+    have passed, and the next step's first trial is max(lip / 2,
+    _CURVATURE_MARGIN c, 1e-6). Halving alone had the first trial rejected
+    in 557 of 782 iterations of criterion 03/05's battery, 691 wasted
+    projections in all. Seeded, that battery takes 1,031 projections in
+    668 iterations (144 with a rejection), and perfbench's random cascade
+    679 (1,026).
     """
     tol = config.duality_gap_tol
     iterations = config.max_iterations
@@ -342,20 +360,27 @@ def _fista(prog, gradient, q0: np.ndarray, config: SolverConfig):
     it = 0
     stalled = 0
     last_metric = None
+    curv = 0.0
     while it < iterations:
         it += 1
         g_v = gradient(v)
         f_v = _objective(v, g_v)
-        lip = max(lip / 2.0, 1e-6)
+        lip = max(lip / 2.0, _CURVATURE_MARGIN * curv, 1e-6)
         for _ in range(60):
             cand = prog.project(v - g_v / lip)
             diff = cand - v
-            quad = f_v + (g_v * diff).sum() + 0.5 * lip * (diff * diff).sum()
+            lin = f_v + (g_v * diff).sum()
+            sq = (diff * diff).sum()
+            quad = lin + 0.5 * lip * sq
             g_cand = gradient(cand)
             f_cand = _objective(cand, g_cand)
             if f_cand <= quad + 1e-15:
                 break
             lip *= 2.0
+        # The least lip the accepted step would have passed seeds the next
+        # trial. A step of length 0 measures no curvature; from a v off the
+        # orthant (f_v = inf) it reads -inf, which the max drops.
+        curv = 2.0 * (f_cand - lin) / sq if sq > 0.0 else 0.0
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         v = cand + ((t - 1.0) / t_next) * (cand - q)
         if f_cand > f_q:  # function restart
