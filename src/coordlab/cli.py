@@ -5,7 +5,7 @@ carry no timestamps or wall-clock data, floats are serialized with their
 shortest round-trip representation, JSON keys are sorted, and files are
 written atomically. Running a command twice produces byte-identical files.
 
-Exit codes: 0 success, 1 failed criterion (check), 2 spec or schema
+Exit codes: 0 success, 1 failed criterion (check), 2 spec, schema or flag
 error, 3 convergence shortfall (a region point's certified gap exceeds
 the configured tolerance), 4 partial results (a simulation cell was
 skipped by a guard, or an oracle scan ran out of budget).
@@ -277,7 +277,6 @@ def load_problem_spec(path: str) -> ProblemSpec:
 
 def _atomic_write(path: str, data: bytes) -> None:
     directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -552,6 +551,18 @@ def _resolve_jobs(value: Optional[int]) -> int:
     return value
 
 
+def _output_dir(path: str) -> str:
+    """The --out directory, created if absent; refused if it cannot be written."""
+    path = path or "."
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise SpecError([f"--out: cannot create directory {path}: {exc.strerror or exc}"])
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise SpecError([f"--out: cannot write to directory {path}"])
+    return path
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coordlab",
@@ -562,10 +573,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, help_text, seed=False, jobs=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--spec", required=True, help="problem spec JSON file")
-        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--out", default=".", help="output directory, created if absent")
         if seed:
             p.add_argument(
-                "--seed", type=int, default=None, help="overrides the spec seed"
+                "--seed", type=int, default=None, help="overrides the spec seed (>= 0)"
             )
         if jobs:
             p.add_argument(
@@ -587,12 +598,16 @@ def main(argv=None) -> int:
     try:
         if args.command == "check":
             return cmd_check()
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise SpecError(["--seed: expected an integer >= 0"])
         spec = load_problem_spec(args.spec)
+        jobs = _resolve_jobs(args.jobs) if args.command == "simulate" else None
+        out = _output_dir(args.out)
         if args.command == "region":
-            return cmd_region(spec, args.out)
+            return cmd_region(spec, out)
         if args.command == "simulate":
-            return cmd_simulate(spec, args.out, args.seed, _resolve_jobs(args.jobs))
-        return cmd_oracle(spec, args.out, args.seed)
+            return cmd_simulate(spec, out, args.seed, jobs)
+        return cmd_oracle(spec, out, args.seed)
     except SpecError as exc:
         for message in exc.messages:
             print(f"spec error: {message}", file=sys.stderr)

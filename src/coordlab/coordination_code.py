@@ -15,11 +15,14 @@ scoring a codeword is then an integer index and one lookup, and the chosen
 message (minimum TV, lowest index on float-equal ties) is exactly what a
 per-codeword float TV would give.
 
-- Binary codebooks (n <= 64) are uint64 bitmasks. The samples of a
-  Monte-Carlo chunk are grouped by source composition, and each group walks
-  its table in increasing TV: a level's candidate words for every live
-  sample are built at once and looked up in one call to the word index,
-  and a sample stops at its first level with a hit.
+``CodebookCode.encode`` is the one entry for both codebook layouts: it
+counts each sample's source composition once, groups the samples by it
+and hands the groups to two kernels.
+
+- Binary codebooks (n <= 64) are uint64 bitmasks, and each group of a
+  packed code walks its table in increasing TV: a level's candidates for
+  every live sample are built at once and looked up in one call to the
+  word index, and a sample stops at its first level with a hit.
 - Every other sample, of either layout, takes one block scan. Both layouts
   count each action symbol but the first per source symbol, so a packed
   word's ones are its counted one-hot row, and a codeword's table index is
@@ -101,7 +104,10 @@ def check_monte_carlo_work(n: int, samples: int) -> None:
 
 
 def _as_batch(x, n: int, x_size: int) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.int64)
+    """x as an (S, n) block batch: int64, or bool as a binary source is drawn."""
+    arr = np.asarray(x)
+    if arr.dtype != bool:
+        arr = arr.astype(np.int64, copy=False)
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != n:
@@ -396,21 +402,17 @@ class CodebookCode:
 
     # -- per-composition TV tables ----------------------------------------
 
-    def _nj_split(self, target: JointPmf):
-        """n * target mass split by action bit, per source symbol."""
-        tm = target.mass
-        return self.n * tm[:, 0], self.n * tm[:, 1]
-
-    def _tv_from_c1(self, c1_cols, comp, nj0, nj1) -> np.ndarray:
-        """TV of the (X,Y) type to the target, from counts of y=1 per x.
+    def _tv_from_c1(self, c1_cols, comp, target: JointPmf) -> np.ndarray:
+        """TV of the (X,Y) type to target, from counts of y=1 per x.
 
         Identical accumulation order everywhere so that table entries and
         level comparisons hold with exact float equality.
         """
+        nj = self.n * target.mass
         acc = None
         for a in range(self.x_size):
-            term = np.abs(c1_cols[a] - nj1[a]) + np.abs(
-                (comp[a] - c1_cols[a]) - nj0[a]
+            term = np.abs(c1_cols[a] - nj[a, 1]) + np.abs(
+                (comp[a] - c1_cols[a]) - nj[a, 0]
             )
             acc = term if acc is None else acc + term
         return acc * (0.5 / self.n)
@@ -454,7 +456,7 @@ class CodebookCode:
             counts = np.concatenate([p[i] for p, i in zip(parts, pick)], axis=1)
             if self.packed_y is not None:
                 c1 = counts[:, 1::2].T.astype(np.float64)
-                tv = self._tv_from_c1(c1, comp, *self._nj_split(self.target))
+                tv = self._tv_from_c1(c1, comp, self.target)
             else:
                 tv = _tv_rows(counts, self.n, self.target.mass.ravel())
             table = np.full(math.prod(radix), np.inf)
@@ -585,38 +587,6 @@ class CodebookCode:
             live = np.concatenate(missed)
         return out
 
-    def _encode_packed(self, x_batch: np.ndarray):
-        """Min-TV encoding of binary-action batches.
-
-        Samples are grouped by source composition and each group walks its
-        table (``_walk_batch``); samples the walk leaves, those whose table
-        has more than ``_WALK_CELLS`` (or ``_TV_TABLE_CAP``) entries, and
-        batches that skip the walk take the block scan (``_scan``).
-        Returns (message indices, per-sample count columns c1[a] for the
-        chosen codeword) so callers can score against other targets without
-        touching the codebook again.
-        """
-        cb = self.packed_y
-        masks = np.stack([_pack_bits(x_batch == a) for a in range(self.x_size)])
-        comps = np.bitwise_count(masks).astype(np.int64)  # (A, S)
-        out_idx = np.full(x_batch.shape[0], -1, dtype=np.int64)
-        # when one scan call holds every sample against every word, the
-        # walk's per-level calls cost more than all of its candidates save
-        if x_batch.shape[0] * cb.shape[0] > _WALK_CELLS:
-            uniq, inv = np.unique(comps.T, axis=0, return_inverse=True)
-            for g, comp in enumerate(uniq.tolist()):
-                if math.prod(c + 1 for c in comp) <= min(_WALK_CELLS, _TV_TABLE_CAP):
-                    rows = np.flatnonzero(inv.ravel() == g)
-                    out_idx[rows] = self._walk_batch(x_batch[rows], tuple(comp))
-        rest = np.flatnonzero(out_idx < 0)
-        if rest.size:
-            out_idx[rest] = self._scan(x_batch[rest])
-        chosen = cb[out_idx]
-        out_c1 = np.stack(
-            [np.bitwise_count(chosen & masks[a]) for a in range(self.x_size)]
-        ).astype(np.float64)
-        return out_idx, out_c1
-
     # -- block scan -------------------------------------------------------
 
     def _action_rows(self, lo: int, hi: int) -> np.ndarray:
@@ -635,8 +605,9 @@ class CodebookCode:
         onehot = self._action_rows(lo, hi)[:, None, :] == symbols
         return onehot.astype(np.float32).reshape(hi - lo, -1)
 
-    def _scan(self, x_batch: np.ndarray) -> np.ndarray:
-        """Min-TV codewords of a batch by a block scan through the codebook.
+    def _scan(self, x_batch: np.ndarray, keys: list, group: np.ndarray) -> np.ndarray:
+        """Min-TV codewords of a batch by a block scan through the codebook;
+        sample i has source composition keys[group[i]].
 
         A codeword's table index is Σ_t place[x_t, u_t] over its counted
         symbols u (``_block_rows``); over a block of codewords and a batch
@@ -648,20 +619,18 @@ class CodebookCode:
         whose table is over the cap take the per-codeword reference loop.
         """
         x = x_batch.astype(np.intp, copy=False)
-        s = x.shape[0]
-        comps = np.stack([(x == a).sum(axis=1) for a in range(self.x_size)], axis=1)
-        uniq, inv = np.unique(comps, axis=0, return_inverse=True)
-        keys = [tuple(int(c) for c in u) for u in uniq]
+        used, inv = np.unique(group, return_inverse=True)
+        keys = [keys[g] for g in used.tolist()]
         tables = [self._table(key) for key in keys]
         fit = [i for i, t in enumerate(tables) if t is not None]
         slot = np.full(len(keys), -1)
         slot[fit] = np.arange(len(fit))
-        slot = slot[inv.ravel()]  # sample -> its table among the fitting ones
-        out = np.zeros(s, dtype=np.int64)
-        over = slot < 0
-        if over.any():
-            out[over] = self._encode_rowwise(x[over])
-        keep = np.flatnonzero(~over)
+        slot = slot[inv]  # sample -> its table among the fitting ones
+        out = np.zeros(x.shape[0], dtype=np.int64)
+        over = np.flatnonzero(slot < 0)
+        if over.size:
+            out[over] = self._encode_rowwise(x[over], [keys[i] for i in inv[over]])
+        keep = np.flatnonzero(slot >= 0)
         if keep.size == 0:
             return out
         x, slot = x[keep], slot[keep]
@@ -701,19 +670,17 @@ class CodebookCode:
         out[keep] = best_j
         return out
 
-    def _encode_rowwise(self, x_batch: np.ndarray) -> np.ndarray:
+    def _encode_rowwise(self, x_batch: np.ndarray, comps: list) -> np.ndarray:
         """Reference encoder: the TV of every codeword, per sample, in the
         layout's own float expression (``_tv_from_c1`` for packed codes,
-        ``_tv_rows`` of the type counts for symbol rows)."""
+        which reads each sample's source composition comps[i], ``_tv_rows``
+        of the type counts for symbol rows)."""
         out = np.empty(x_batch.shape[0], dtype=np.int64)
         if self.packed_y is not None:
-            nj0, nj1 = self._nj_split(self.target)
-            for i, x in enumerate(x_batch):
-                on = [x == a for a in range(self.x_size)]
-                masks = [_pack_bits(o[None, :])[0] for o in on]
+            for i, (x, comp) in enumerate(zip(x_batch, comps)):
+                masks = _pack_bits(np.stack([x == a for a in range(self.x_size)]))
                 c1 = [np.bitwise_count(self.packed_y & m).astype(np.float64) for m in masks]
-                comp = [int(o.sum()) for o in on]
-                out[i] = int(self._tv_from_c1(c1, comp, nj0, nj1).argmin())
+                out[i] = int(self._tv_from_c1(c1, comp, self.target).argmin())
             return out
         cells = int(np.prod(self.action_sizes))
         target_flat = self.target.mass.ravel()
@@ -724,12 +691,31 @@ class CodebookCode:
         return out
 
     def encode(self, x_batch: np.ndarray) -> np.ndarray:
+        """Min-TV message of each source block, lowest index on ties. The
+        samples are grouped by source composition; a packed code's groups
+        walk their tables, and the samples the walk skips or leaves take
+        the block scan."""
         x = _as_batch(x_batch, self.n, self.x_size)
-        if x.shape[0] == 0:
+        s = x.shape[0]
+        if s == 0:
             return np.empty(0, dtype=np.int64)
-        if self.packed_y is not None:
-            return self._encode_packed(x)[0]
-        return self._scan(x)
+        comps = np.stack([(x == a).sum(axis=1) for a in range(self.x_size)], axis=1)
+        uniq, group = np.unique(comps, axis=0, return_inverse=True)
+        keys, group = [tuple(c) for c in uniq.tolist()], group.ravel()
+        out = np.full(s, -1, dtype=np.int64)
+        # when one scan call holds every sample against every word, the
+        # walk's per-level calls cost more than all of its candidates save
+        if self.packed_y is not None and s * self.m1 > _WALK_CELLS:
+            for g, comp in enumerate(keys):
+                if math.prod(c + 1 for c in comp) <= min(_WALK_CELLS, _TV_TABLE_CAP):
+                    rows = np.flatnonzero(group == g)
+                    out[rows] = self._walk_batch(x[rows], comp)
+        rest = np.flatnonzero(out < 0)
+        if rest.size == s:  # no copy of the batch
+            return self._scan(x, keys, group)
+        if rest.size:
+            out[rest] = self._scan(x[rest], keys, group[rest])
+        return out
 
     def codeword_rows(self, messages: np.ndarray) -> np.ndarray:
         if self.packed_y is not None:
@@ -919,10 +905,10 @@ def _chunk_tvs(code, p0: Pmf, target: JointPmf, size: int, child) -> np.ndarray:
         and code.packed_y is not None
         and not code.is_cascade
     ):
-        _, c1 = code._encode_packed(x)
-        comps = np.stack([(x == a).sum(axis=1) for a in range(code.x_size)])
-        nj0, nj1 = code._nj_split(target)
-        return code._tv_from_c1(c1, comps, nj0[:, None], nj1[:, None])
+        chosen = code.packed_y[code.encode(x)]
+        masks = np.stack([_pack_bits(x == a) for a in range(code.x_size)])
+        c1 = np.bitwise_count(chosen & masks).astype(np.float64)
+        return code._tv_from_c1(c1, np.bitwise_count(masks), target)
     x = x.astype(np.int64, copy=False)
     rows = code.decoded_rows(x)
     jc = _joint_codes(code, x, rows)
@@ -991,12 +977,12 @@ def _draw_symbols(rng, mass: np.ndarray, count: int, n: int) -> np.ndarray:
     return np.searchsorted(cdf[:-1], u, side="right")
 
 
-def _capped_count(n: int, rate: float, table_cap: int) -> int:
-    """message_count, refused by the table_cap guard when over it; the
-    reason gives the count as a power of two, which stays short."""
+def _capped_count(n: int, rate: float) -> int:
+    """message_count, refused past DEFAULT_TABLE_CAP; the reason gives the
+    count as a power of two, which stays short."""
     count = message_count(n, rate)
-    if count > table_cap:
-        raise ValueError(f"message set 2^{n * rate:g} exceeds table_cap {table_cap}")
+    if count > DEFAULT_TABLE_CAP:
+        raise ValueError(f"message set 2^{n * rate:g} exceeds table_cap {DEFAULT_TABLE_CAP}")
     return count
 
 
@@ -1007,7 +993,6 @@ def build_codebook_code(
     rate1: float,
     rate2: Optional[float] = None,
     seed: int = 0,
-    table_cap: int = DEFAULT_TABLE_CAP,
 ) -> CodebookCode:
     """Random-codebook code for the composed target compose(p0, q_target).
 
@@ -1023,8 +1008,8 @@ def build_codebook_code(
     cascade = joint.mass.ndim == 3
     if (rate2 is not None) != cascade:
         raise ValueError("rate2 required iff the target has two output axes")
-    m1 = _capped_count(n, rate1, table_cap)
-    m2 = _capped_count(n, rate2, table_cap) if cascade else 0
+    m1 = _capped_count(n, rate1)
+    m2 = _capped_count(n, rate2) if cascade else 0
     x_size = p0.alphabet_size
     y_size = joint.mass.shape[1]
     packed = y_size == 2 and n <= 64 and not cascade

@@ -148,10 +148,7 @@ class _NeighborhoodProgram:
         self.k, self.m = self.p.shape
         self._rows, self._w2 = np.arange(self.k), self.w**2
         self.budget = 2.0 * delta  # sum_x w_x ||q_x - p_x||_1 <= 2 delta
-        # active pattern of the last projection, and ball multiplier of the
-        # last one on the ball's boundary: the start where the pattern's
-        # cost is flat in mu
-        self._mu, self._pattern = 0.0, None
+        self._pattern = None  # active pattern of the last projection
 
     # objective pieces -------------------------------------------------
 
@@ -235,8 +232,9 @@ class _NeighborhoodProgram:
         l1 cost L(mu) is nonincreasing and piecewise linear, so on a fixed
         active pattern its root is closed-form and a Newton step is exact.
         The search starts at the root of the last projection's pattern for
-        this v, which holds in most projections of a FISTA run, so one prox
-        meets the budget; each step goes to the root of the pattern just
+        this v (mu = 0 where that root is undefined, negative or >= hi),
+        which holds in most projections of a FISTA run, so one prox meets
+        the budget; each step goes to the root of the pattern just
         met, bisects a bracket on the root when it leaves it, and probes
         mu = 0 only when one reaches it.
         """
@@ -247,9 +245,7 @@ class _NeighborhoodProgram:
         hi = float(((d.max(axis=1) - d.min(axis=1)) / (2.0 * self.w)).max())
         f_hi, q_hi, pat_hi = -self.budget, self.p.copy(), None
         mu = self._pattern_root(d, self._pattern)
-        if math.isnan(mu):
-            mu = self._mu
-        mu = max(mu, 0.0) if mu < hi else 0.0
+        mu = max(mu, 0.0) if mu < hi else 0.0  # nan starts at 0 too
         for _ in range(_ROOT_STEPS):
             q, pattern = self._prox_rows(v, mu * self.w)
             f = self.l1_cost(q) - self.budget
@@ -275,9 +271,7 @@ class _NeighborhoodProgram:
                 mu = 0.5 * (lo + hi)
                 if not lo < mu < hi:
                     break
-        q, self._mu, self._pattern = (
-            (q_lo, lo, pat_lo) if f_lo < -f_hi else (q_hi, hi, pat_hi)
-        )
+        q, self._pattern = (q_lo, pat_lo) if f_lo < -f_hi else (q_hi, pat_hi)
         # A rounding excess goes back along the ray to the target, which
         # scales the l1 cost linearly and stays inside the simplex.
         cost = self.l1_cost(q)

@@ -372,9 +372,9 @@ def spy_packed_kernels(monkeypatch):
         walks.append(walk(self, x_rows, comp))
         return walks[-1]
 
-    def spy_scan(self, x_batch):
+    def spy_scan(self, x_batch, keys, group):
         scanned.append(x_batch.shape[0])
-        return scan(self, x_batch)
+        return scan(self, x_batch, keys, group)
 
     monkeypatch.setattr(cc.CodebookCode, "_walk_batch", spy_walk)
     monkeypatch.setattr(cc.CodebookCode, "_scan", spy_scan)
@@ -443,7 +443,8 @@ class TestEncoderPaths:
         inputs = cc._enumerate_inputs(3, 7)
         want = brute_force_encode(code, inputs)
         assert np.array_equal(code.encode(inputs), want)
-        assert np.array_equal(code._encode_rowwise(inputs), want)
+        comps = [tuple(np.bincount(x, minlength=3)) for x in inputs]
+        assert np.array_equal(code._encode_rowwise(inputs, comps), want)
 
     def test_cascade_symbol_rows(self):
         p0 = pc.Pmf([0.5, 0.5])
@@ -571,7 +572,7 @@ class TestTableLookup:
             looked = code._table(comp)[code._strides(comp)[x[None, :], u].sum(axis=1)]
             if packed:
                 c1 = [((u == 1) & (x == s)).sum(axis=1).astype(np.float64) for s in range(a)]
-                want = code._tv_from_c1(c1, comp, *code._nj_split(code.target))
+                want = code._tv_from_c1(c1, comp, code.target)
             else:
                 counts = cc._type_counts(x[None, :] * k + u, a * k)
                 want = cc._tv_rows(counts, n, code.target.mass.ravel())
@@ -707,12 +708,12 @@ class TestWorkBounds:
             (pc.CondPmf.identity(2), 64, (27.5 / 64, None), 1 << 40, "MAX_BUILD_SYMBOLS"),
         ],
     )
-    def test_build_refused(self, q, n, rates, table_cap, bound, refuse_work, traced):
+    def test_build_refused(self, q, n, rates, table_cap, bound, refuse_work, traced, monkeypatch):
+        monkeypatch.setattr(cc, "DEFAULT_TABLE_CAP", table_cap)
+
         def run():
             with pytest.raises(ValueError, match=bound):
-                cc.build_codebook_code(
-                    pc.Pmf([0.5, 0.5]), q, n, rates[0], rates[1], table_cap=table_cap
-                )
+                cc.build_codebook_code(pc.Pmf([0.5, 0.5]), q, n, rates[0], rates[1])
 
         assert traced(run)[1] < 1 << 20
 
