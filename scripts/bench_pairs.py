@@ -16,7 +16,10 @@ traced run per side and workload (``--trace 1``) adds the per-layer
 metrics. The BENCH file holds the environment, both commit ids, every
 run's metrics, per workload and seed the median and quartiles of each
 end-to-end metric on each side and in how many pairs the change beat the
-parent, and per workload the traced metrics of both sides.
+parent, and per workload the traced metrics of both sides. Each
+end-to-end metric with a bound in ``BENCHMARK.json`` also gets the
+change's median move as a share of that bound and a verdict (see
+``judge``), which are printed with the medians.
 """
 
 from __future__ import annotations
@@ -117,6 +120,32 @@ def summarize(runs: list, better: dict) -> dict:
     return out
 
 
+def judge(row: dict, bound: float) -> dict:
+    """The change's median move in a summary row against its bound.
+
+    ``move`` is the change's median less the parent's, over the parent's
+    median (or absolute where that median is 0), signed so that worse is
+    positive; ``bound_share`` is move / bound. ``parent_spread`` is the
+    parent's quartile distance on the same scale. The verdict is
+    "unresolved" where that spread is wider than the bound, since the
+    parent's own runs then move further than the bound; otherwise "worse
+    past bound" where the move is over the bound, else "within bound".
+    """
+    parent, change = row["parent"], row["change"]
+    scale = abs(parent["median"]) or 1.0
+    sign = 1.0 if row["better"] == "lower" else -1.0
+    move = sign * (change["median"] - parent["median"]) / scale
+    spread = (parent["q3"] - parent["q1"]) / scale
+    if spread > bound:
+        verdict = "unresolved"
+    elif move > bound:
+        verdict = "worse past bound"
+    else:
+        verdict = "within bound"
+    return {"bound": bound, "move": move, "bound_share": move / bound,
+            "parent_spread": spread, "verdict": verdict}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--parent", required=True, help="parent revision")
@@ -138,6 +167,7 @@ def main(argv=None) -> int:
         with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
             bench = json.load(fh)
         better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+        bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
 
         runs, env, traced = [], {}, {}
         for workload in args.workload:
@@ -165,6 +195,20 @@ def main(argv=None) -> int:
     # what differs between runs or sides is recorded per run, or as the commits
     for key in ("commit", "workload", "seed", "battery_order", "source_sha256"):
         env.pop(key, None)
+    summary = {
+        workload: {
+            str(seed): summarize(
+                [r for r in runs if r["workload"] == workload and r["seed"] == seed], better
+            )
+            for seed in seeds
+        }
+        for workload in args.workload
+    }
+    for by_seed in summary.values():
+        for rows in by_seed.values():
+            for name, row in rows.items():
+                if name in bounds:
+                    row.update(judge(row, bounds[name]))
     doc = {
         "workloads": args.workload,
         "seeds": seeds,
@@ -174,15 +218,7 @@ def main(argv=None) -> int:
         "change": commits["change"],
         "runs": runs,
         "traced": traced,
-        "summary": {
-            workload: {
-                str(seed): summarize(
-                    [r for r in runs if r["workload"] == workload and r["seed"] == seed], better
-                )
-                for seed in seeds
-            }
-            for workload in args.workload
-        },
+        "summary": summary,
         "traced_summary": {
             workload: {
                 name: {"parent": sides["parent"]["metrics"].get(name),
@@ -196,13 +232,18 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    for workload, by_seed in doc["summary"].items():
-        for seed, summary in by_seed.items():
-            for name, row in summary.items():
+    for workload, by_seed in summary.items():
+        for seed, rows in by_seed.items():
+            for name, row in rows.items():
                 p, c = row["parent"], row["change"]
-                print(f"{workload} seed {seed} {name}: parent {p['median']:.4g} "
-                      f"[{p['q1']:.4g}, {p['q3']:.4g}]  change {c['median']:.4g} "
-                      f"[{c['q1']:.4g}, {c['q3']:.4g}]  wins {row['wins']}/{row['pairs']}")
+                line = (f"{workload} seed {seed} {name}: parent {p['median']:.4g} "
+                        f"[{p['q1']:.4g}, {p['q3']:.4g}]  change {c['median']:.4g} "
+                        f"[{c['q1']:.4g}, {c['q3']:.4g}]  wins {row['wins']}/{row['pairs']}")
+                if "verdict" in row:
+                    line += (f"  move {row['move']:+.1%} = {row['bound_share']:+.2f} of bound "
+                             f"{row['bound']:g} (parent spread {row['parent_spread']:.1%}): "
+                             f"{row['verdict']}")
+                print(line)
     ok = all(r["correct"] and r["returncode"] == 0 for r in runs)
     ok = ok and all(
         t["correct"] and t["returncode"] == 0 for sides in traced.values() for t in sides.values()

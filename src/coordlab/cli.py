@@ -539,18 +539,6 @@ def cmd_check() -> int:
 # -- entry point ---------------------------------------------------------
 
 
-def _resolve_jobs(value: Optional[int]) -> int:
-    if value is None:
-        env = os.environ.get("COORDLAB_JOBS", "").strip()
-        try:
-            value = int(env) if env else 1
-        except ValueError:
-            raise SpecError([f"COORDLAB_JOBS: not an integer: {env!r}"])
-    if value < 1:
-        raise SpecError(["jobs: expected an integer >= 1"])
-    return value
-
-
 def _output_dir(path: str) -> str:
     """The --out directory, created if absent; refused if it cannot be written."""
     path = path or "."
@@ -579,12 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--seed", type=int, default=None, help="overrides the spec seed (>= 0)"
             )
         if jobs:
-            p.add_argument(
-                "--jobs",
-                type=int,
-                default=None,
-                help="worker count (default: COORDLAB_JOBS or 1)",
-            )
+            p.add_argument("--jobs", type=int, default=1, help="worker count (default 1)")
 
     add("region", "solve the rate region over the spec's delta grid")
     add("simulate", "Monte-Carlo codebook codes over the (n, rate) grid", seed=True, jobs=True)
@@ -601,12 +584,13 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise SpecError(["--seed: expected an integer >= 0"])
         spec = load_problem_spec(args.spec)
-        jobs = _resolve_jobs(args.jobs) if args.command == "simulate" else None
+        if args.command == "simulate" and args.jobs < 1:
+            raise SpecError(["jobs: expected an integer >= 1"])
         out = _output_dir(args.out)
         if args.command == "region":
             return cmd_region(spec, out)
         if args.command == "simulate":
-            return cmd_simulate(spec, out, args.seed, jobs)
+            return cmd_simulate(spec, out, args.seed, args.jobs)
         return cmd_oracle(spec, out, args.seed)
     except SpecError as exc:
         for message in exc.messages:

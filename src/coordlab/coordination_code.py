@@ -19,10 +19,11 @@ per-codeword float TV would give.
 counts each sample's source composition once, groups the samples by it
 and hands the groups to two kernels.
 
-- Binary codebooks (n <= 64) are uint64 bitmasks, and each group of a
-  packed code walks its table in increasing TV: a level's candidates for
-  every live sample are built at once and looked up in one call to the
-  word index, and a sample stops at its first level with a hit.
+- Two-node binary codebooks (n <= 64) are uint64 bitmasks, and each
+  group of a packed code walks its table in increasing TV: a level's
+  candidates for every live sample are built at once and looked up in one
+  call to the word index, and a sample stops at its first level with a
+  hit.
 - Every other sample, of either layout, takes one block scan. Both layouts
   count each action symbol but the first per source symbol, so a packed
   word's ones are its counted one-hot row, and a codeword's table index is
@@ -80,8 +81,8 @@ def message_count(n: int, rate: float) -> int:
     integer power just above itself. Counts past the float range are
     rejected from the exponent, before the power can overflow.
     """
-    if rate < 0:
-        raise ValueError(f"message_count: negative rate {rate}")
+    if not rate >= 0:  # NaN fails here too
+        raise ValueError(f"message_count: rate must be >= 0, got {rate}")
     if n * rate >= _MAX_LOG2_COUNT:
         raise ValueError(
             f"message_count: 2^{n * rate:g} messages exceed the float range"
@@ -325,8 +326,9 @@ class CodebookCode:
     The encoder returns the message whose decoded action block has the joint
     type (with the observed source block) closest in TV to ``target``; ties
     go to the lowest message index. ``target`` is the composed build target
-    over (X, Y) or (X, Y, Z). Binary-action codebooks with n <= 64 are kept
-    bit-packed; everything else stores symbol rows.
+    over (X, Y) or (X, Y, Z). ``build_codebook_code`` keeps two-node
+    codebooks with binary actions and n <= 64 bit-packed; every other
+    code, cascades included, stores symbol rows.
     """
 
     n: int
@@ -816,26 +818,8 @@ class SimReport:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SimReport":
-        return cls(
-            sample_count=int(d["sample_count"]),
-            mean_tv=float(d["mean_tv"]),
-            standard_error=float(d["standard_error"]),
-            quantiles=tuple(float(v) for v in d["quantiles"]),
-            seed=int(d["seed"]),
-        )
-
 
 # -- evaluation ----------------------------------------------------------
-
-
-def apply_code(code, x_seq):
-    """Run one source block through a code; returns (y^n,) or (y^n, z^n)."""
-    x = _as_batch(x_seq, code.n, code.x_size)
-    if x.shape[0] != 1:
-        raise ValueError("apply_code takes a single sequence; use decoded_rows")
-    return tuple(rows[0].copy() for rows in code.decoded_rows(x))
 
 
 def _require_target_shape(code, target: JointPmf):

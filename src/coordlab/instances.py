@@ -64,9 +64,9 @@ def binary_battery_codes():
     return codes
 
 
-def battery_targets(seed: int = 2026):
+def battery_targets():
     """Joint (X, Y) targets used with the n=1 battery: corners plus noise."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(2026)
     targets = [
         pc.JointPmf([[0.5, 0.0], [0.0, 0.5]]),
         pc.JointPmf([[0.25, 0.25], [0.25, 0.25]]),
@@ -77,8 +77,8 @@ def battery_targets(seed: int = 2026):
     return targets
 
 
-def battery_sources(seed: int = 2027):
-    rng = np.random.default_rng(seed)
+def battery_sources():
+    rng = np.random.default_rng(2027)
     sources = [pc.Pmf([0.5, 0.5]), pc.Pmf([0.9, 0.1])]
     for _ in range(3):
         sources.append(pc.Pmf(rng.dirichlet([2.0, 2.0])))

@@ -52,7 +52,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -92,11 +91,9 @@ DEFAULT_CODE_GUARD = 10_000_000
 class OracleReport:
     """Result of one brute-force search."""
 
-    instance: dict
     optimum: float
     optimizer: object
     search_space_size: int
-    wall_time: float
     details: dict = field(default_factory=dict)
 
 
@@ -178,7 +175,6 @@ def grid_min_mi(
         floor_cells = (int(round(1.0 / grid_step)) + 1) ** r
         if floor_cells > _GRID_CELL_CAP:
             raise ValueError(_grid_cap_message(f"at least {floor_cells}"))
-    start = time.perf_counter()
     w = p0.mass[support]
     cand = []
     for x in range(r):
@@ -220,16 +216,9 @@ def grid_min_mi(
     t_round = min(0.25 * grid_step * m, 0.5)
     disc = 2.0 * (t_round * math.log2(max(k * m - 1, 2)) + _h2(t_round))
     return OracleReport(
-        instance={
-            "p0": p0.mass.tolist(),
-            "target": rows.tolist(),
-            "delta": float(delta),
-            "grid_step": float(grid_step),
-        },
         optimum=max(best_val, 0.0),
         optimizer=CondPmf(full),
         search_space_size=total,
-        wall_time=time.perf_counter() - start,
         details={
             "discretization_bound": disc,
             "lattice_cells": total,
@@ -472,7 +461,6 @@ def exhaustive_best_code(
     TV table over ``MAX_CODE_TABLE`` entries is refused by ValueError
     before any codeword block is built.
     """
-    start = time.perf_counter()
     cascade = target.mass.ndim == 3
     if cascade != (rate2 is not None):
         raise ValueError("rate2 required iff the target has three axes")
@@ -528,22 +516,13 @@ def exhaustive_best_code(
     if m2 > e2:
         dec_z = np.vstack([dec_z, np.repeat(dec_z[-1][None, :], m2 - e2, axis=0)])
     tables = dict(encoder=enc, decoder_mid=dec_y)
-    instance = {
-        "p0": p0.mass.tolist(),
-        "target": target.mass.tolist(),
-        "n": n,
-        "rate1": rate1,
-    }
     if cascade:
         tables.update(rate2=rate2, z_size=sizes[2], recoder=rec, decoder_end=dec_z)
-        instance["rate2"] = rate2
     code = TableCode(n=n, x_size=x_size, y_size=sizes[1], rate1=rate1, **tables)
     return OracleReport(
-        instance=instance,
         optimum=val,
         optimizer=code,
         search_space_size=space,
-        wall_time=time.perf_counter() - start,
         details={"codeword_universes": [uy, uz]},
     )
 

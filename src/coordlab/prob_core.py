@@ -128,14 +128,9 @@ class JointPmf:
 
 @dataclass(frozen=True, eq=False)
 class CondPmf:
-    """One output pmf per input symbol: rows[x] is a pmf over the outputs.
-
-    ``uniform_filled_rows`` flags rows that were synthesized as uniform
-    because the source joint had zero mass on that input symbol.
-    """
+    """One output pmf per input symbol: rows[x] is a pmf over the outputs."""
 
     rows: np.ndarray
-    uniform_filled_rows: tuple = ()
 
     def __post_init__(self):
         arr = np.array(self.rows, dtype=float)
@@ -153,7 +148,6 @@ class CondPmf:
         np.clip(arr, 0.0, None, out=arr)
         arr.setflags(write=False)
         object.__setattr__(self, "rows", arr)
-        object.__setattr__(self, "uniform_filled_rows", tuple(self.uniform_filled_rows))
 
     @property
     def input_size(self) -> int:
@@ -164,11 +158,7 @@ class CondPmf:
         return cls(np.eye(k))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, CondPmf)
-            and np.array_equal(self.rows, other.rows)
-            and self.uniform_filled_rows == other.uniform_filled_rows
-        )
+        return isinstance(other, CondPmf) and np.array_equal(self.rows, other.rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,8 +247,8 @@ def total_variation(p, q) -> float:
 
 def in_delta_neighborhood(p, q, delta: float) -> bool:
     """Closed-ball test: TV(p, q) <= delta, with 1e-12 boundary slack."""
-    if delta < 0:
-        raise ValueError(f"in_delta_neighborhood: negative delta {delta}")
+    if not delta >= 0:  # NaN fails here too
+        raise ValueError(f"in_delta_neighborhood: delta must be >= 0, got {delta}")
     return total_variation(p, q) <= delta + TV_SLACK
 
 
@@ -296,9 +286,8 @@ def marginal_pmf(joint: JointPmf, axis: int) -> Pmf:
 def conditional(joint: JointPmf, given_axis: int = 0) -> CondPmf:
     """Conditional of the remaining axes given one axis.
 
-    Rows whose conditioning symbol has zero marginal mass are set to uniform
-    and reported in ``uniform_filled_rows``; composed back with any source
-    they never contribute mass.
+    Rows whose conditioning symbol has zero marginal mass are set to
+    uniform; composed back with any source they never contribute mass.
     """
     nd = joint.mass.ndim
     if nd < 2:
@@ -313,9 +302,7 @@ def conditional(joint: JointPmf, given_axis: int = 0) -> CondPmf:
     np.divide(flat, np.where(sums > 0.0, sums, 1.0)[:, None], out=rows)
     if zero_rows.size:
         rows[zero_rows] = 1.0 / flat.shape[1]
-    return CondPmf(
-        rows.reshape(moved.shape), uniform_filled_rows=tuple(int(i) for i in zero_rows)
-    )
+    return CondPmf(rows.reshape(moved.shape))
 
 
 def mutual_information(joint, groups=None) -> float:

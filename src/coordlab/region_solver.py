@@ -110,7 +110,7 @@ class RegionPoint:
 
 
 def _sanitize_delta(delta: float) -> float:
-    if delta < 0:
+    if not delta >= 0:  # NaN fails here too
         raise ValueError(f"delta must be >= 0, got {delta}")
     if delta > 1.0:
         warnings.warn(f"delta {delta} exceeds 1; clamped to 1 (TV never does)")
@@ -548,12 +548,13 @@ def solve_cascade(
     return pareto_filter(points[::-1])
 
 
-def pareto_filter(points: Sequence[RegionPoint], tol: float = 1e-12) -> list:
+def pareto_filter(points: Sequence[RegionPoint]) -> list:
     """Drop points whose rate pairs are dominated by another point.
 
-    Points whose rates both agree within ``tol`` are one point; the first
-    in input (weight) order is kept.
+    Points whose rates both agree within 1e-12 bits are one point; the
+    first in input (weight) order is kept.
     """
+    tol = 1e-12
     kept = []
     for p in points:
         dominated = False

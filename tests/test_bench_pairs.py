@@ -1,5 +1,6 @@
-"""The pure parts of scripts/bench_pairs.py: quartiles, pair summaries and
-the tar extraction on Pythons whose tarfile has no "data" filter."""
+"""The pure parts of scripts/bench_pairs.py: quartiles, pair summaries,
+verdicts against a bound and the tar extraction on Pythons whose tarfile
+has no "data" filter."""
 
 import importlib.util
 import io
@@ -45,6 +46,37 @@ def test_summarize_skips_unequal_pair_counts():
     change = runs_of("change", [{"t": 0.5, "x": 1.0}, {"t": 1.5}])
     out = bench_pairs.summarize(parent + change, {"t": "lower", "x": "lower", "absent": "lower"})
     assert set(out) == {"t"}
+
+
+@pytest.mark.parametrize(
+    "parent_values, verdict",
+    [((0.195, 0.202, 0.209), "worse past bound"), ((0.150, 0.202, 0.280), "unresolved")],
+)
+def test_judge_places_the_median_move_against_the_bound(parent_values, verdict):
+    # codebook_mc setup_s medians 0.202 s -> 0.257 s (+27 %, bound 0.25),
+    # once with the parent's quartiles 3.5 % apart and once 32 % apart
+    parent = runs_of("parent", [{"setup_s": v} for v in parent_values])
+    change = runs_of("change", [{"setup_s": v} for v in (0.250, 0.257, 0.264)])
+    row = bench_pairs.summarize(parent + change, {"setup_s": "lower"})["setup_s"]
+    got = bench_pairs.judge(row, 0.25)
+    assert got["verdict"] == verdict
+    assert got["move"] == pytest.approx(0.055 / 0.202)
+    assert got["bound_share"] == pytest.approx(0.055 / 0.202 / 0.25)
+    assert got["bound"] == 0.25
+
+
+@pytest.mark.parametrize(
+    "change_value, verdict",
+    [(0.999, "within bound"), (0.99, "worse past bound"), (1.0, "within bound")],
+)
+def test_judge_signs_a_higher_is_better_metric(change_value, verdict):
+    parent = runs_of("parent", [{"ok_share": 1.0}] * 3)
+    change = runs_of("change", [{"ok_share": change_value}] * 3)
+    row = bench_pairs.summarize(parent + change, {"ok_share": "higher"})["ok_share"]
+    got = bench_pairs.judge(row, 0.002)
+    assert got["verdict"] == verdict
+    assert got["move"] == pytest.approx(1.0 - change_value)
+    assert got["parent_spread"] == 0.0
 
 
 @pytest.mark.parametrize("data_filter", [True, False])

@@ -602,20 +602,10 @@ class TestSimulateCommand:
 
     def test_env_jobs_capped(self, tmp_path, monkeypatch, pool_workers):
         monkeypatch.setattr(cc, "MC_CHUNK", 8)  # 400 samples, 50 chunks
-        monkeypatch.setenv("COORDLAB_JOBS", "1000000")
         spec = write_spec(tmp_path, base_spec())
-        assert cli.main(["simulate", "--spec", spec, "--out", str(tmp_path)]) == 0
+        argv = ["simulate", "--spec", spec, "--out", str(tmp_path), "--jobs", "1000000"]
+        assert cli.main(argv) == 0
         assert pool_workers == [cc.MAX_JOBS] * 4
-
-    def test_env_jobs_invalid(self, tmp_path, monkeypatch, capsys):
-        spec = write_spec(tmp_path, base_spec())
-        monkeypatch.setenv("COORDLAB_JOBS", "many")
-        rc = cli.main(["simulate", "--spec", spec, "--out", str(tmp_path)])
-        assert rc == cli.EXIT_SCHEMA
-        assert "COORDLAB_JOBS" in capsys.readouterr().err
-        # only simulate has workers; the other commands do not read the variable
-        assert cli.main(["region", "--spec", spec, "--out", str(tmp_path)]) == cli.EXIT_OK
-        assert cli.main(["oracle", "--spec", spec, "--out", str(tmp_path)]) == cli.EXIT_OK
 
 
 class TestUnusedInputsRefused:

@@ -504,7 +504,7 @@ class TestBatchedSearchMatchesLoop:
             assert (
                 rep.optimizer.decoder_mid.tolist() == cas.optimizer.decoder_mid.tolist()
             )
-            assert not rep.optimizer.is_cascade and "rate2" not in rep.instance
+            assert not rep.optimizer.is_cascade and rep.optimizer.rate2 is None
 
     @pytest.mark.parametrize("make", [symmetric_cascade, uniform_cascade, random_cascade])
     @pytest.mark.parametrize(

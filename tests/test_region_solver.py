@@ -151,6 +151,21 @@ class TestTwoNode:
         assert pt.delta == 1.0
         assert pt.R1 == 0.0
 
+    @pytest.mark.parametrize("cascade", [False, True])
+    def test_nan_delta_refused(self, monkeypatch, uniform_binary, cascade):
+        # a NaN radius once reached FISTA, which iterated on NaNs without
+        # end; the cascade on an independent target divided by zero
+        def no_fista(*args, **kwargs):
+            raise AssertionError("FISTA ran on a NaN radius")
+
+        monkeypatch.setattr(rs, "_fista", no_fista)
+        if cascade:
+            solve, target = rs.solve_cascade, pc.CondPmf(np.full((2, 2, 2), 0.25))
+        else:
+            solve, target = rs.solve_two_node, pc.CondPmf(np.eye(2))
+        with pytest.raises(ValueError, match="delta must be >= 0, got nan"):
+            solve(uniform_binary, target, math.nan)
+
     def test_argmin_feasible(self):
         for p0, tgt in random_two_node_instances(5, seed=101):
             ds = rs.delta_star(p0, tgt)
