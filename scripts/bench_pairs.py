@@ -16,7 +16,8 @@ traced run per side and workload (``--trace 1``) adds the per-layer
 metrics. The BENCH file holds the environment, both commit ids, every
 run's metrics, per workload and seed the median and quartiles of each
 end-to-end metric on each side and in how many pairs the change beat the
-parent, and per workload the traced metrics of both sides. Each
+parent, and per workload the traced metrics of both sides. The
+environment adds the variables in ``SETUP_VARIABLES``, or null. Each
 end-to-end metric with a bound in ``BENCHMARK.json`` also gets the
 change's median move as a share of that bound and a verdict (see
 ``judge``), which are printed with the medians.
@@ -35,6 +36,9 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# Variables the runs inherit that move setup_s: with the first set, every
+# process compiles its sources from text; the others size the BLAS pools.
+SETUP_VARIABLES = ("PYTHONDONTWRITEBYTECODE", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def git(*args: str) -> str:
@@ -90,6 +94,11 @@ def run_bench(tree: str, workload: str, seed: int, seconds: float, trace: int) -
     result = json.loads(lines[-1])
     result["returncode"] = proc.returncode
     return {"env": env, "result": result}
+
+
+def setup_environment(environ=os.environ) -> dict:
+    """Each of SETUP_VARIABLES' value in environ, None where unset."""
+    return {name: environ.get(name) for name in SETUP_VARIABLES}
 
 
 def quartiles(values: list) -> dict:
@@ -195,6 +204,7 @@ def main(argv=None) -> int:
     # what differs between runs or sides is recorded per run, or as the commits
     for key in ("commit", "workload", "seed", "battery_order", "source_sha256"):
         env.pop(key, None)
+    env.update(setup_environment())
     summary = {
         workload: {
             str(seed): summarize(

@@ -348,7 +348,7 @@ def cmd_region(spec: ProblemSpec, out_dir: str) -> int:
             "R1": float(pt.R1),
             "R2": None if pt.R2 is None else float(pt.R2),
             "gap": float(pt.certificate),
-            "provenance": pt.provenance,
+            "provenance": "solver",
         }
         for pt in points
     ]

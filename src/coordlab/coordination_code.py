@@ -15,28 +15,30 @@ scoring a codeword is then an integer index and one lookup, and the chosen
 message (minimum TV, lowest index on float-equal ties) is exactly what a
 per-codeword float TV would give.
 
-``CodebookCode.encode`` is the one entry for both codebook layouts: it
-counts each sample's source composition once, groups the samples by it
-and hands the groups to two kernels.
+``CodebookCode.encode`` is the one entry for both codebook layouts, and
+the one place that picks a kernel: it counts each sample's source
+composition once, groups the samples by it and sends each group to one of
+three kernels.
 
-- Two-node binary codebooks (n <= 64) are uint64 bitmasks, and each
-  group of a packed code walks its table in increasing TV: a level's
-  candidates for every live sample are built at once and looked up in one
-  call to the word index, and a sample stops at its first level with a
-  hit.
+- Compositions whose table would be too large take the per-codeword loop.
+- Two-node binary codebooks (n <= 64) are uint64 bitmasks, indexed by
+  word when the code is built. In a large enough batch, each group of a
+  packed code whose table is small walks that table in increasing TV: a
+  level's candidates for every live sample are built at once and looked up
+  in one call to the word index, and a sample stops at its first level
+  with a hit.
 - Every other sample, of either layout, takes one block scan. Both layouts
   count each action symbol but the first per source symbol, so a packed
   word's ones are its counted one-hot row, and a codeword's table index is
   a sum of per-sample place values over its counted symbols: a block of
   codewords, as one-hot rows, is scored by one float32 matmul; a sample
   leaves the scan at the first block that reaches its table's floor.
-  Compositions whose table would be too large take the per-codeword loop.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -150,6 +152,28 @@ def _compositions(total: int, parts: int) -> np.ndarray:
         cols = [np.repeat(c, kids) for c in cols] + [part]
         left = np.repeat(left, kids) - part
     return np.array(cols + [left]).T
+
+
+@functools.cache
+def _composition_parts(total: int, parts: int) -> np.ndarray:
+    """``_compositions``, read-only and shared by every code's TV tables."""
+    out = _compositions(total, parts)
+    out.setflags(write=False)
+    return out
+
+
+@functools.cache
+def _combinations(k: int, c: int) -> np.ndarray:
+    """Every size-c subset of range(k) as a read-only (comb(k, c), c) index
+    array, by Pascal's rule: the subsets without k - 1, then those with it."""
+    if c == 0 or c == k:
+        out = np.arange(c, dtype=np.intp)[None, :]
+    else:
+        with_last = _combinations(k - 1, c - 1)
+        tail = np.full((with_last.shape[0], 1), k - 1, dtype=np.intp)
+        out = np.concatenate([_combinations(k - 1, c), np.hstack([with_last, tail])])
+    out.setflags(write=False)
+    return out
 
 
 def _type_counts(joint_codes: np.ndarray, num_cells: int) -> np.ndarray:
@@ -327,8 +351,9 @@ class CodebookCode:
     type (with the observed source block) closest in TV to ``target``; ties
     go to the lowest message index. ``target`` is the composed build target
     over (X, Y) or (X, Y, Z). ``build_codebook_code`` keeps two-node
-    codebooks with binary actions and n <= 64 bit-packed; every other
-    code, cascades included, stores symbol rows.
+    codebooks with binary actions and n <= 64 bit-packed, and the code
+    indexes their words when it is built; every other code, cascades
+    included, stores symbol rows.
     """
 
     n: int
@@ -347,7 +372,12 @@ class CodebookCode:
         m1 = message_count(self.n, self.rate1)
         if (self.packed_y is None) == (self.symbols_y is None):
             raise ValueError("exactly one of packed_y / symbols_y required")
+        cascade_bits = (self.rate2, self.z_size, self.symbols_z, self.recoder)
+        if any(b is None for b in cascade_bits) != all(b is None for b in cascade_bits):
+            raise ValueError("cascade fields must be given together or not at all")
         if self.packed_y is not None:
+            if self.recoder is not None:
+                raise ValueError("packed storage is two-node only")
             if self.y_size != 2 or self.n > 64:
                 raise ValueError("packed storage needs binary actions and n <= 64")
             if self.packed_y.shape != (m1,):
@@ -361,7 +391,7 @@ class CodebookCode:
         expected_shape = (self.x_size, self.y_size)
         if self.recoder is not None:
             m2 = message_count(self.n, self.rate2)
-            if self.symbols_z is None or self.symbols_z.shape != (m2, self.n):
+            if self.symbols_z.shape != (m2, self.n):
                 raise ValueError(f"z codebook must be ({m2}, {self.n})")
             if self.recoder.shape != (m1,):
                 raise ValueError(f"recoder must have {m1} entries")
@@ -374,19 +404,13 @@ class CodebookCode:
             arr = getattr(self, name)
             if arr is not None:
                 arr.setflags(write=False)
-        # Per-composition TV tables and their TV-sorted walks, each source
-        # symbol count's compositions into the action symbols (the tables'
-        # parts), subset index arrays for the candidate walk, and the lazily
-        # built word index of the packed codebook. Monte-Carlo worker threads
-        # fill them; each entry is a pure function of its key, so a lost race
-        # only repeats work. The word index is large, so it is built under a
-        # lock.
+        # Per-composition TV tables and their TV-sorted walks. Monte-Carlo
+        # worker threads fill them; each entry is a pure function of its
+        # key, so a lost race only repeats work.
         object.__setattr__(self, "_tables", {})
         object.__setattr__(self, "_walks", {})
-        object.__setattr__(self, "_parts", {})
-        object.__setattr__(self, "_subsets", {})
-        object.__setattr__(self, "_index_cache", None)
-        object.__setattr__(self, "_index_lock", threading.Lock())
+        index = None if self.packed_y is None else _WordIndex(self.packed_y, self.n)
+        object.__setattr__(self, "_index", index)
 
     @property
     def is_cascade(self) -> bool:
@@ -449,11 +473,7 @@ class CodebookCode:
         if math.prod(radix) <= _TV_TABLE_CAP:
             # the count vectors: a composition of each comp[a] into the
             # action symbols, per source symbol
-            parts = []
-            for c in comp:
-                if c not in self._parts:
-                    self._parts[c] = _compositions(c, self._row_symbols)
-                parts.append(self._parts[c])
+            parts = [_composition_parts(c, self._row_symbols) for c in comp]
             pick = np.indices([p.shape[0] for p in parts]).reshape(len(parts), -1)
             counts = np.concatenate([p[i] for p, i in zip(parts, pick)], axis=1)
             if self.packed_y is not None:
@@ -503,22 +523,6 @@ class CodebookCode:
             self._walks[comp] = hit
         return hit
 
-    def _combinations(self, k: int, c: int) -> np.ndarray:
-        """Every size-c subset of range(k) as a (comb(k, c), c) index array,
-        by Pascal's rule: the subsets without k - 1, then those with it."""
-        hit = self._subsets.get((k, c))
-        if hit is None:
-            if c == 0 or c == k:
-                hit = np.arange(c, dtype=np.intp)[None, :]
-            else:
-                with_last = self._combinations(k - 1, c - 1)
-                tail = np.full((with_last.shape[0], 1), k - 1, dtype=np.intp)
-                hit = np.concatenate(
-                    [self._combinations(k - 1, c), np.hstack([with_last, tail])]
-                )
-            self._subsets[(k, c)] = hit
-        return hit
-
     def _subset_or(self, bits: np.ndarray, c: int) -> np.ndarray:
         """OR of every size-c subset of each row's disjoint single-bit words:
         (R, k) -> (R, comb(k, c))."""
@@ -527,18 +531,11 @@ class CodebookCode:
             # enumerate the complement instead; disjoint bits make OR a sum
             total = bits.sum(axis=1, dtype=np.uint64, keepdims=True)
             return total - self._subset_or(bits, k - c)
-        combos = self._combinations(k, c)
+        combos = _combinations(k, c)
         out = bits[:, combos[:, 0]] if c else np.zeros((bits.shape[0], 1), dtype=np.uint64)
         for j in range(1, c):
             out |= bits[:, combos[:, j]]
         return out
-
-    def _word_index(self) -> "_WordIndex":
-        """The packed codebook's word index, built once."""
-        with self._index_lock:
-            if self._index_cache is None:
-                object.__setattr__(self, "_index_cache", _WordIndex(self.packed_y, self.n))
-        return self._index_cache
 
     def _walk_batch(self, x_rows: np.ndarray, comp: tuple) -> np.ndarray:
         """Min-TV codewords of samples that share source composition comp.
@@ -554,7 +551,7 @@ class CodebookCode:
         g = x_rows.shape[0]
         m1 = self.packed_y.shape[0]
         combos, bounds, spent = self._walk(comp)
-        index = self._word_index()
+        index = self._index
         # each source symbol's positions as single-bit words, a row a sample
         parts = [
             np.left_shift(np.uint64(1), np.nonzero(x_rows == a)[1].astype(np.uint64)).reshape(g, k)
@@ -617,33 +614,23 @@ class CodebookCode:
         the codewords' rows, exact in float32 because every partial sum is
         an integer below ``_TV_TABLE_CAP``. Each sample keeps the first
         minimum within a block and a strictly lower one across blocks, and
-        leaves at the first block that reaches its table's floor. Samples
-        whose table is over the cap take the per-codeword reference loop.
+        leaves at the first block that reaches its table's floor. Every
+        sample's table fits the cap (``encode`` sends the others to the
+        per-codeword loop).
         """
         x = x_batch.astype(np.intp, copy=False)
-        used, inv = np.unique(group, return_inverse=True)
+        used, slot = np.unique(group, return_inverse=True)  # sample -> its table
         keys = [keys[g] for g in used.tolist()]
         tables = [self._table(key) for key in keys]
-        fit = [i for i, t in enumerate(tables) if t is not None]
-        slot = np.full(len(keys), -1)
-        slot[fit] = np.arange(len(fit))
-        slot = slot[inv]  # sample -> its table among the fitting ones
-        out = np.zeros(x.shape[0], dtype=np.int64)
-        over = np.flatnonzero(slot < 0)
-        if over.size:
-            out[over] = self._encode_rowwise(x[over], [keys[i] for i in inv[over]])
-        keep = np.flatnonzero(slot >= 0)
-        if keep.size == 0:
-            return out
-        x, slot = x[keep], slot[keep]
-        fitted = [tables[i] for i in fit]
-        base = np.cumsum([0] + [t.size for t in fitted[:-1]])[slot]
-        flat = np.concatenate(fitted)
-        floor = np.array([t.min() for t in fitted])[slot]
+        base = np.cumsum([0] + [t.size for t in tables[:-1]])[slot]
+        flat = np.concatenate(tables)
+        floor = np.array([t.min() for t in tables])[slot]
         # (S, n, K) -> (S, (K - 1) * n): the first action symbol is not counted
-        lanes = np.stack([self._strides(keys[i]) for i in fit])[slot[:, None], x]
-        lanes = lanes[:, :, 1:].transpose(0, 2, 1).reshape(keep.size, -1)
+        lanes = np.stack([self._strides(key) for key in keys])[slot[:, None], x]
+        lanes = lanes[:, :, 1:].transpose(0, 2, 1).reshape(x.shape[0], -1)
         lanes = lanes.astype(np.float32)
+        out = np.zeros(x.shape[0], dtype=np.int64)
+        keep = np.arange(x.shape[0])
         best_tv = np.full(keep.size, np.inf)
         best_j = np.zeros(keep.size, dtype=np.int64)
         m1 = self.m1
@@ -693,10 +680,14 @@ class CodebookCode:
         return out
 
     def encode(self, x_batch: np.ndarray) -> np.ndarray:
-        """Min-TV message of each source block, lowest index on ties. The
-        samples are grouped by source composition; a packed code's groups
-        walk their tables, and the samples the walk skips or leaves take
-        the block scan."""
+        """Min-TV message of each source block, lowest index on ties.
+
+        The samples are grouped by source composition, and each group goes
+        to one kernel: a composition whose table is over the cap to the
+        per-codeword loop; a packed group whose table has at most
+        ``_WALK_CELLS`` entries, in a batch large enough to walk, to the
+        walk; every other sample, and every sample the walk leaves, to one
+        block scan."""
         x = _as_batch(x_batch, self.n, self.x_size)
         s = x.shape[0]
         if s == 0:
@@ -707,11 +698,15 @@ class CodebookCode:
         out = np.full(s, -1, dtype=np.int64)
         # when one scan call holds every sample against every word, the
         # walk's per-level calls cost more than all of its candidates save
-        if self.packed_y is not None and s * self.m1 > _WALK_CELLS:
-            for g, comp in enumerate(keys):
-                if math.prod(c + 1 for c in comp) <= min(_WALK_CELLS, _TV_TABLE_CAP):
-                    rows = np.flatnonzero(group == g)
-                    out[rows] = self._walk_batch(x[rows], comp)
+        walk = self._index is not None and s * self.m1 > _WALK_CELLS
+        for g, comp in enumerate(keys):
+            table = self._table(comp)
+            if table is None:
+                rows = np.flatnonzero(group == g)
+                out[rows] = self._encode_rowwise(x[rows], [comp] * rows.size)
+            elif walk and table.size <= _WALK_CELLS:
+                rows = np.flatnonzero(group == g)
+                out[rows] = self._walk_batch(x[rows], comp)
         rest = np.flatnonzero(out < 0)
         if rest.size == s:  # no copy of the batch
             return self._scan(x, keys, group)
@@ -884,11 +879,7 @@ def expected_type_of_code(code, p0: Pmf) -> JointPmf:
 def _chunk_tvs(code, p0: Pmf, target: JointPmf, size: int, child) -> np.ndarray:
     """Per-sample TVs for one Monte-Carlo chunk with its own substream."""
     x = _draw_symbols(np.random.default_rng(child), p0.mass, size, code.n)
-    if (
-        isinstance(code, CodebookCode)
-        and code.packed_y is not None
-        and not code.is_cascade
-    ):
+    if isinstance(code, CodebookCode) and code.packed_y is not None:
         chosen = code.packed_y[code.encode(x)]
         masks = np.stack([_pack_bits(x == a) for a in range(code.x_size)])
         c1 = np.bitwise_count(chosen & masks).astype(np.float64)
@@ -906,7 +897,7 @@ def expected_tv_monte_carlo(
     target: JointPmf,
     samples: int,
     seed: int,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
 ) -> SimReport:
     """Sample mean of TV(joint action type, target) over i.i.d. source draws.
 
@@ -928,7 +919,7 @@ def expected_tv_monte_carlo(
     def run(i: int) -> np.ndarray:
         return _chunk_tvs(code, p0, target, sizes[i], children[i])
 
-    workers = min(jobs or 1, len(sizes), MAX_JOBS)
+    workers = min(jobs, len(sizes), MAX_JOBS)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, range(len(sizes))))

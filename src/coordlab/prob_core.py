@@ -283,26 +283,22 @@ def marginal_pmf(joint: JointPmf, axis: int) -> Pmf:
     return Pmf(marginal(joint, (axis,)).mass)
 
 
-def conditional(joint: JointPmf, given_axis: int = 0) -> CondPmf:
-    """Conditional of the remaining axes given one axis.
+def conditional(joint: JointPmf) -> CondPmf:
+    """Conditional of the remaining axes given the first.
 
     Rows whose conditioning symbol has zero marginal mass are set to
     uniform; composed back with any source they never contribute mass.
     """
-    nd = joint.mass.ndim
-    if nd < 2:
+    if joint.mass.ndim < 2:
         raise ValueError("conditional: need at least 2 axes")
-    if not 0 <= given_axis < nd:
-        raise ValueError(f"conditional: bad axis {given_axis}")
-    moved = np.moveaxis(joint.mass, given_axis, 0)
-    flat = moved.reshape(moved.shape[0], -1)
+    flat = joint.mass.reshape(joint.mass.shape[0], -1)
     sums = flat.sum(axis=1)
     zero_rows = np.nonzero(sums <= 0.0)[0]
     rows = np.empty_like(flat)
     np.divide(flat, np.where(sums > 0.0, sums, 1.0)[:, None], out=rows)
     if zero_rows.size:
         rows[zero_rows] = 1.0 / flat.shape[1]
-    return CondPmf(rows.reshape(moved.shape))
+    return CondPmf(rows.reshape(joint.mass.shape))
 
 
 def mutual_information(joint, groups=None) -> float:

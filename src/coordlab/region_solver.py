@@ -93,7 +93,6 @@ class RegionPoint:
     delta: float
     argmin_conditional: CondPmf
     certificate: float
-    provenance: str
     R2: Optional[float] = None
     lam: Optional[float] = None
 
@@ -487,7 +486,6 @@ def solve_two_node(
         delta=delta,
         argmin_conditional=_restore_rows(prog, q),
         certificate=gap,
-        provenance="solver",
     )
 
 
@@ -519,7 +517,6 @@ def solve_cascade(
             delta=delta,
             argmin_conditional=_restore_rows(prog, q),
             certificate=gap,
-            provenance="solver",
             lam=lam,
         )
 

@@ -26,6 +26,13 @@ def test_quartiles_of_several_values():
     assert bench_pairs.quartiles([1.0, 2.0]) == {"median": 1.5, "q1": 1.25, "q3": 1.75}
 
 
+def test_setup_environment_records_each_variable_or_none():
+    environ = {"PYTHONDONTWRITEBYTECODE": "1", "OMP_NUM_THREADS": "2", "HOME": "/home/x"}
+    assert bench_pairs.setup_environment(environ) == {
+        "PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "2"
+    }
+
+
 def runs_of(side, values):
     return [{"side": side, "metrics": m} for m in values]
 

@@ -521,12 +521,36 @@ class TestSimulateCommand:
         }
         assert got == self.GOLDEN[name]
 
-    def test_jobs_do_not_change_bytes(self, tmp_path):
-        spec = write_spec(tmp_path, base_spec())
-        a, b = tmp_path / "a", tmp_path / "b"
-        cli.main(["simulate", "--spec", spec, "--out", str(a), "--jobs", "1"])
-        cli.main(["simulate", "--spec", spec, "--out", str(b), "--jobs", "3"])
-        assert (a / "simulation.csv").read_bytes() == (b / "simulation.csv").read_bytes()
+    def test_jobs_do_not_change_bytes(self, tmp_path, monkeypatch):
+        # three Monte-Carlo chunks a cell, so --jobs 3 runs three threads:
+        # they share a packed code's walks and a cascade's tables
+        samples = 2 * cc.MC_CHUNK + 100
+        walking = base_spec(
+            n_grid=[20], rates={"R1_grid": [0.78]}, monte_carlo={"samples": samples, "seed": 9}
+        )
+        cascade = dict(SHIPPED["cascade_small.json"], monte_carlo={"samples": samples, "seed": 11})
+        pools, walks = [], []
+        pool, walk = cc.ThreadPoolExecutor, cc.CodebookCode._walk_batch
+
+        def spy_pool(max_workers):
+            pools.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        def spy_walk(self, x_rows, comp):
+            walks.append(comp)
+            return walk(self, x_rows, comp)
+
+        monkeypatch.setattr(cc, "ThreadPoolExecutor", spy_pool)
+        monkeypatch.setattr(cc.CodebookCode, "_walk_batch", spy_walk)
+        for name, doc in (("walking", walking), ("cascade", cascade)):
+            spec = write_spec(tmp_path, doc, f"{name}.json")
+            a, b = tmp_path / name / "a", tmp_path / name / "b"
+            assert cli.main(["simulate", "--spec", spec, "--out", str(a), "--jobs", "1"]) == 0
+            assert cli.main(["simulate", "--spec", spec, "--out", str(b), "--jobs", "3"]) == 0
+            for f in ("simulation.csv", "simulation.json"):
+                assert (a / f).read_bytes() == (b / f).read_bytes()
+        # one pool for the walking cell and one for each of the four cascade cells
+        assert pools == [3] * 5 and walks
 
     def test_seed_flag_overrides_spec(self, tmp_path):
         spec = write_spec(tmp_path, base_spec())

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -292,6 +294,28 @@ class TestCodebookConstruction:
             assert tvs[m] <= best + 1e-12
             assert m == int(np.nonzero(tvs <= best + 1e-15)[0][0])
 
+    def test_packed_storage_is_two_node_only(self, uniform_binary):
+        # a packed code with cascade fields once failed at its first encode,
+        # inside the packed TV expression
+        two = cc.build_codebook_code(uniform_binary, pc.CondPmf.identity(2), 4, 0.8, seed=1)
+        three = cc.build_codebook_code(uniform_binary, CASCADE_Q, 4, 0.8, 0.6, seed=1)
+        with pytest.raises(ValueError, match="two-node only"):
+            cc.CodebookCode(
+                n=4, x_size=2, y_size=2, rate1=0.8, target=three.target,
+                packed_y=two.packed_y, rate2=0.6, z_size=2,
+                symbols_z=three.symbols_z, recoder=three.recoder,
+            )
+
+    @pytest.mark.parametrize("field", [{"rate2": 0.5}, {"z_size": 2}])
+    def test_partial_cascade_fields_refused(self, uniform_binary, field):
+        # a lone rate2 once gave a two-node code that reported it
+        code = cc.build_codebook_code(uniform_binary, pc.CondPmf.identity(2), 4, 0.8, seed=1)
+        with pytest.raises(ValueError, match="together or not at all"):
+            cc.CodebookCode(
+                n=4, x_size=2, y_size=2, rate1=0.8, target=code.target,
+                packed_y=code.packed_y, **field,
+            )
+
     def test_cascade_build_shapes(self, uniform_binary):
         target = pc.CondPmf(
             np.array([[[0.7, 0.1], [0.1, 0.1]], [[0.1, 0.1], [0.1, 0.7]]])
@@ -413,7 +437,7 @@ class TestEncoderPaths:
         # levels with no codeword before they find one
         q = pc.CondPmf([[1.0, 0.0]] + [[0.0, 1.0]] * (p0.alphabet_size - 1))
         code = cc.build_codebook_code(p0, q, 22, 0.76, seed=4)
-        assert code._word_index().dense is None  # binary search of sorted keys
+        assert code._index.dense is None  # binary search of sorted keys
         walked, scanned = spy_packed_kernels(monkeypatch)
         levels = []
         lookup = cc._WordIndex.lookup
@@ -804,6 +828,24 @@ class TestParallelCaches:
             sys.setswitchinterval(interval)
         assert code._walks or code.symbols_y is not None
         assert reports[0] == reports[1] == reports[2]
+
+
+class TestCopies:
+    """A code holds no lock: it pickles and deep-copies with its caches."""
+
+    @pytest.mark.parametrize(
+        "p0, q, n, rate",
+        [(pc.Pmf([0.5, 0.5]), pc.CondPmf.identity(2), 18, 0.95), (TERNARY_P0, TERNARY_Q, 8, 1.0)],
+        ids=["packed", "symbol-rows"],
+    )
+    def test_pickle_and_deepcopy_after_encode(self, p0, q, n, rate):
+        # the packed code walks its tables first, so its caches are full
+        code = cc.build_codebook_code(p0, q, n, rate, seed=2)
+        x = source_draws(p0, n, 300, seed=3)
+        want = code.encode(x)
+        assert code._walks or code.symbols_y is not None
+        for clone in (pickle.loads(pickle.dumps(code)), copy.deepcopy(code)):
+            assert np.array_equal(clone.encode(x), want)
 
 
 class TestBlockRepeat:

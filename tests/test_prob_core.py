@@ -144,19 +144,19 @@ class TestComposeAndMarginals:
         assert np.allclose(pc.marginal_pmf(joint, 1).mass, q.mass)
 
     def test_conditional_of_diagonal(self, identity_joint):
-        cond = pc.conditional(identity_joint, 0)
+        cond = pc.conditional(identity_joint)
         assert np.allclose(cond.rows, np.eye(2))
 
     def test_reconstruction_round_trip(self):
         rng = np.random.default_rng(11)
         joint = pc.JointPmf(rng.dirichlet(np.ones(6)).reshape(2, 3))
-        cond = pc.conditional(joint, 0)
+        cond = pc.conditional(joint)
         back = pc.compose(pc.marginal_pmf(joint, 0), cond)
         assert np.allclose(back.mass, joint.mass, atol=1e-12)
 
     def test_zero_row_flagged_uniform(self):
         joint = pc.JointPmf([[0.5, 0.5], [0.0, 0.0]])
-        cond = pc.conditional(joint, 0)
+        cond = pc.conditional(joint)
         assert np.allclose(cond.rows[1], [0.5, 0.5])
 
 

@@ -557,7 +557,6 @@ class TestParetoFilter:
                 delta=0.1,
                 argmin_conditional=identity_channel,
                 certificate=0.0,
-                provenance="solver",
                 lam=lam,
             )
 
