@@ -20,7 +20,10 @@ parent, and per workload the traced metrics of both sides. The
 environment adds the variables in ``SETUP_VARIABLES``, or null. Each
 end-to-end metric with a bound in ``BENCHMARK.json`` also gets the
 change's median move as a share of that bound and a verdict (see
-``judge``), which are printed with the medians.
+``judge``), which are printed with the medians. Each ``--claim
+WORKLOAD:METRIC`` (repeatable) marks a gain the change claims: that
+summary row gets a ``claim`` entry (see ``claim``), and the script prints
+"claim met" or "claim not met" for it.
 """
 
 from __future__ import annotations
@@ -155,6 +158,20 @@ def judge(row: dict, bound: float) -> dict:
             "parent_spread": spread, "verdict": verdict}
 
 
+def claim(row: dict) -> dict:
+    """Whether a summary row shows the gain the change claims: the change
+    wins at least nine tenths of the pairs (ties count for neither), and
+    its median beats the parent's by more than the parent's quartile
+    distance. ``gain`` is that median difference, signed so that better is
+    positive, in the metric's unit."""
+    parent, change = row["parent"], row["change"]
+    sign = 1.0 if row["better"] == "lower" else -1.0
+    gain = sign * (parent["median"] - change["median"])
+    spread = parent["q3"] - parent["q1"]
+    met = 10 * row["wins"] >= 9 * row["pairs"] and gain > spread
+    return {"gain": gain, "parent_spread": spread, "met": met}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--parent", required=True, help="parent revision")
@@ -164,6 +181,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=26.0)
     parser.add_argument("--seed", type=int, action="append", help="battery order seed; repeatable (default 1)")
     parser.add_argument("--out", required=True, help="BENCH file to write")
+    parser.add_argument("--claim", action="append", default=[],
+                        help="WORKLOAD:METRIC whose gain the change claims; repeatable")
     args = parser.parse_args(argv)
     seeds = args.seed or [1]
 
@@ -177,6 +196,11 @@ def main(argv=None) -> int:
             bench = json.load(fh)
         better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
         bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+        claims = [tuple(text.split(":", 1)) for text in args.claim]
+        for text, claimed in zip(args.claim, claims):
+            if len(claimed) != 2 or claimed[0] not in args.workload or claimed[1] not in better:
+                parser.error(f"--claim {text}: expected WORKLOAD:METRIC, a --workload "
+                             "and a metric BENCHMARK.json names")
 
         runs, env, traced = [], {}, {}
         for workload in args.workload:
@@ -214,11 +238,13 @@ def main(argv=None) -> int:
         }
         for workload in args.workload
     }
-    for by_seed in summary.values():
+    for workload, by_seed in summary.items():
         for rows in by_seed.values():
             for name, row in rows.items():
                 if name in bounds:
                     row.update(judge(row, bounds[name]))
+                if (workload, name) in claims:
+                    row["claim"] = claim(row)
     doc = {
         "workloads": args.workload,
         "seeds": seeds,
@@ -253,6 +279,10 @@ def main(argv=None) -> int:
                     line += (f"  move {row['move']:+.1%} = {row['bound_share']:+.2f} of bound "
                              f"{row['bound']:g} (parent spread {row['parent_spread']:.1%}): "
                              f"{row['verdict']}")
+                if "claim" in row:
+                    got = row["claim"]
+                    line += (f"  claim {'met' if got['met'] else 'not met'} (gain "
+                             f"{got['gain']:.4g} against parent spread {got['parent_spread']:.4g})")
                 print(line)
     ok = all(r["correct"] and r["returncode"] == 0 for r in runs)
     ok = ok and all(

@@ -59,6 +59,7 @@ MAX_BUILD_SYMBOLS = 1 << 33    # n * (m1 [+ m2]): codeword symbols one build dra
 MAX_HELD_SYMBOLS = 1 << 24     # symbols one array holds: a Monte-Carlo chunk, a symbol-row codebook
 MAX_JOBS = 32                  # Monte-Carlo worker threads
 _INDEX_BLOCK = 1 << 16         # codewords per block of the word-index build
+_DRAW_BLOCK = 1 << 12          # codewords per block of a packed build: its buffers stay in L2
 _WALK_CELLS = 1 << 16          # samples*candidates (or *codewords) per packed batch
 # Candidates a sample may enumerate before it takes the scan. Past it, the
 # early-exit scan was cheaper on the identity target at n = 24, 28 and 32
@@ -189,11 +190,14 @@ def _tv_rows(counts: np.ndarray, n: int, target_flat: np.ndarray) -> np.ndarray:
 
 
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack (S, n<=64) {0,1} rows into uint64 masks, bit t = position t."""
+    """Pack (S, n<=64) {0,1} rows into uint64 masks, bit t = position t;
+    narrower rows are padded first, contiguous (S, 64) bool rows are not."""
     s, n = bits.shape
-    padded = np.zeros((s, 64), dtype=bool)
-    padded[:, :n] = bits
-    return np.packbits(padded.ravel(), bitorder="little").view(np.uint64)
+    if n < 64:
+        padded = np.zeros((s, 64), dtype=bool)
+        padded[:, :n] = bits
+        bits = padded
+    return np.packbits(bits.ravel(), bitorder="little").view(np.uint64)
 
 
 def _unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
@@ -411,6 +415,10 @@ class CodebookCode:
         object.__setattr__(self, "_walks", {})
         index = None if self.packed_y is None else _WordIndex(self.packed_y, self.n)
         object.__setattr__(self, "_index", index)
+
+    def __reduce__(self):
+        # a copy is built again: checked, read-only and indexed, caches empty
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
     @property
     def is_cascade(self) -> bool:
@@ -939,13 +947,17 @@ def expected_tv_monte_carlo(
 # -- construction --------------------------------------------------------
 
 
-def _draw_symbols(rng, mass: np.ndarray, count: int, n: int) -> np.ndarray:
+def _draw_symbols(rng, mass: np.ndarray, count: int, n: int, out=None) -> np.ndarray:
     """i.i.d. symbol blocks via inverse CDF, (count, n).
 
     Binary alphabets come back as bool, u >= cdf[0], which is what the
-    inverse-CDF search returns there; larger ones as int64.
+    inverse-CDF search returns there; larger ones as int64. A binary draw
+    given buffers ``out = (u, bits)`` fills u[:count] and bits[:count, :n].
     """
     cdf = np.cumsum(mass)
+    if out is not None:
+        u = rng.random(out=out[0][:count])
+        return np.greater_equal(u, cdf[0], out=out[1][:count, :n])
     u = rng.random((count, n))
     if cdf.shape[0] == 2:
         return u >= cdf[0]
@@ -998,12 +1010,15 @@ def build_codebook_code(
 
     words = symbols = None
     if packed:
+        # pad columns n..63 are never written, so each block packs as it is
         rng = np.random.default_rng(child_y)
         words = np.empty(m1, dtype=np.uint64)
-        step = 1 << 15
-        for lo in range(0, m1, step):
-            hi = min(lo + step, m1)
-            words[lo:hi] = _pack_bits(_draw_symbols(rng, y_marg, hi - lo, n))
+        rows = min(_DRAW_BLOCK, m1)
+        buffers = (np.empty((rows, n)), np.zeros((rows, 64), dtype=bool))
+        for lo in range(0, m1, rows):
+            hi = min(lo + rows, m1)
+            _draw_symbols(rng, y_marg, hi - lo, n, out=buffers)
+            words[lo:hi] = _pack_bits(buffers[1][: hi - lo])
     else:
         symbols = _draw_symbols(np.random.default_rng(child_y), y_marg, m1, n)
         symbols = symbols.astype(np.int64, copy=False)

@@ -107,3 +107,46 @@ def test_untar_with_and_without_the_data_filter(tmp_path, monkeypatch, data_filt
         monkeypatch.setattr(tarfile.TarFile, "extractall", old_extractall)
     bench_pairs.untar(buf, str(tmp_path))
     assert (tmp_path / "perfbench" / "run.py").read_bytes() == b"print('ok')\n"
+
+
+def claim_row(parent_values, change_values):
+    parent = runs_of("parent", [{"battery_ref_s": v} for v in parent_values])
+    change = runs_of("change", [{"battery_ref_s": v} for v in change_values])
+    return bench_pairs.summarize(parent + change, {"battery_ref_s": "lower"})["battery_ref_s"]
+
+
+PARENT_S = [1.02, 1.03, 1.04, 1.05, 1.06, 1.06, 1.07, 1.08, 1.09, 1.10]
+
+
+def test_claim_met():
+    # 10 of 10 wins; medians 1.06 -> 0.96, parent quartiles 1.0425 and 1.0775
+    row = claim_row(PARENT_S, [v - 0.10 for v in PARENT_S])
+    got = bench_pairs.claim(row)
+    assert got["met"]
+    assert got["gain"] == pytest.approx(0.10)
+    assert got["parent_spread"] == pytest.approx(0.035)
+
+
+def test_claim_not_met_with_too_few_wins():
+    # 8 wins, one tie and one loss: the medians still move by 0.10 s
+    change = [v - 0.10 for v in PARENT_S[:8]] + [PARENT_S[8], PARENT_S[9] + 0.01]
+    row = claim_row(PARENT_S, change)
+    assert row["wins"] == 8
+    got = bench_pairs.claim(row)
+    assert got["gain"] > got["parent_spread"] and not got["met"]
+
+
+def test_claim_not_met_within_the_parent_spread():
+    # 10 of 10 wins by 0.02 s each, against a 0.035 s quartile distance
+    row = claim_row(PARENT_S, [v - 0.02 for v in PARENT_S])
+    assert row["wins"] == 10
+    got = bench_pairs.claim(row)
+    assert got["gain"] == pytest.approx(0.02) and not got["met"]
+
+
+def test_claim_on_a_higher_is_better_metric():
+    parent = runs_of("parent", [{"ok_share": v} for v in (0.90, 0.91, 0.92)])
+    change = runs_of("change", [{"ok_share": v} for v in (1.0, 1.0, 1.0)])
+    row = bench_pairs.summarize(parent + change, {"ok_share": "higher"})["ok_share"]
+    got = bench_pairs.claim(row)
+    assert got["met"] and got["gain"] == pytest.approx(0.09)

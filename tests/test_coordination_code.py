@@ -757,6 +757,64 @@ class TestWorkBounds:
         assert pool_workers == [cc.MAX_JOBS, 3, 3]
 
 
+def drawn_words(p0, q, n, m1, seed):
+    """The packed words of a build, drawn here in one piece from the same
+    substream: bit t of word i is u[i, t] >= cdf[0]."""
+    y_marg = pc.compose(p0, q).mass.sum(axis=0)
+    child = np.random.SeedSequence(seed).spawn(2)[0]
+    bits = np.random.default_rng(child).random((m1, n)) >= y_marg[0]
+    return (bits.astype(np.uint64) << np.arange(n, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+
+
+class TestPackedDraws:
+    """A packed build draws its words block by block through reused buffers;
+    the words are those of one draw of the whole codebook."""
+
+    ROWS = 8
+
+    def build(self, p0, q, n, m1, seed):
+        code = cc.build_codebook_code(p0, q, n, math.log2(m1) / n, seed=seed)
+        assert code.m1 == m1 and code.packed_y.dtype == np.uint64
+        return code
+
+    @pytest.mark.parametrize("n, m1", [(1, 2), (8, 200), (63, 77), (64, 85)])
+    def test_word_widths(self, n, m1):
+        p0, q = pc.Pmf([0.5, 0.5]), pc.CondPmf.identity(2)
+        code = self.build(p0, q, n, m1, seed=n)
+        assert np.array_equal(code.packed_y, drawn_words(p0, q, n, m1, seed=n))
+
+    @pytest.mark.parametrize("m1", [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 3])
+    @pytest.mark.parametrize(
+        "p0, q",
+        [
+            (pc.Pmf([0.5, 0.5]), pc.CondPmf.identity(2)),
+            (pc.Pmf([0.7, 0.3]), pc.CondPmf.identity(2)),
+            (pc.Pmf([0.7, 0.3]), pc.CondPmf([[1.0, 0.0], [1.0, 0.0]])),
+            (pc.Pmf([0.7, 0.3]), pc.CondPmf([[0.0, 1.0], [0.0, 1.0]])),
+        ],
+        ids=["uniform", "skewed", "all-zero", "all-ones"],
+    )
+    def test_block_edges(self, p0, q, m1, monkeypatch):
+        monkeypatch.setattr(cc, "_DRAW_BLOCK", self.ROWS)
+        draws, draw = [], cc._draw_symbols
+
+        def spy(rng, mass, count, n, out=None):
+            draws.append(count)
+            return draw(rng, mass, count, n, out=out)
+
+        monkeypatch.setattr(cc, "_draw_symbols", spy)
+        code = self.build(p0, q, 13, m1, seed=m1)
+        want = drawn_words(p0, q, 13, m1, seed=m1)
+        assert np.array_equal(code.packed_y, want)
+        # one draw per block, each no larger than the buffers
+        assert draws == [min(self.ROWS, m1 - lo) for lo in range(0, m1, self.ROWS)]
+        y_marg = pc.compose(p0, q).mass.sum(axis=0)
+        if y_marg[0] == 1.0:
+            assert not want.any()
+        elif y_marg[1] == 1.0:
+            assert (want == (1 << 13) - 1).all()
+
+
 class TestWordIndex:
     # dense table; keyed sort with keys using all 64 bits; n + 18 > 64, so
     # argsort
@@ -846,6 +904,28 @@ class TestCopies:
         assert code._walks or code.symbols_y is not None
         for clone in (pickle.loads(pickle.dumps(code)), copy.deepcopy(code)):
             assert np.array_equal(clone.encode(x), want)
+            assert_copy_rebuilt(code, clone)
+
+    def test_cascade(self):
+        p0 = pc.Pmf([0.5, 0.5])
+        code = cc.build_codebook_code(p0, CASCADE_Q, 6, 0.9, 0.6, seed=4)
+        x = source_draws(p0, 6, 100, seed=5)
+        want = code.decoded_rows(x)
+        for clone in (pickle.loads(pickle.dumps(code)), copy.deepcopy(code)):
+            got = clone.decoded_rows(x)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert_copy_rebuilt(code, clone)
+
+
+def assert_copy_rebuilt(code, clone):
+    """A copy holds its own read-only arrays, equal to the original's."""
+    for name in ("packed_y", "symbols_y", "symbols_z", "recoder"):
+        arr, orig = getattr(clone, name), getattr(code, name)
+        assert (arr is None) == (orig is None)
+        if arr is not None:
+            assert not arr.flags.writeable
+            assert np.array_equal(arr, orig) and not np.shares_memory(arr, orig)
+    assert (clone._index is None) == (code.packed_y is None)
 
 
 class TestBlockRepeat:
