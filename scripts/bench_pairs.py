@@ -14,9 +14,9 @@ directory in turn, ``--pairs`` times for each ``--workload`` and ``--seed``
 pair so that a drift of the machine's speed hits both sides alike. One
 traced run per side and workload (``--trace 1``) adds the per-layer
 metrics. The BENCH file holds the environment, both commit ids, every
-run's metrics, per workload and seed the median and quartiles of each
-end-to-end metric on each side and in how many pairs the change beat the
-parent, and per workload the traced metrics of both sides. The
+run's metrics, per workload and seed the median, quartiles, min and max
+of each end-to-end metric on each side and in how many pairs the change
+beat the parent, and per workload the traced metrics of both sides. The
 environment adds the variables in ``SETUP_VARIABLES``, or null. Each
 end-to-end metric with a bound in ``BENCHMARK.json`` also gets the
 change's median move as a share of that bound and a verdict (see
@@ -122,13 +122,9 @@ def summarize(runs: list, better: dict) -> dict:
             continue
         pairs = list(zip(sides["parent"], sides["change"]))
         wins = sum((c < p) if direction == "lower" else (c > p) for p, c in pairs)
-        out[name] = {
-            "better": direction,
-            "parent": quartiles(sides["parent"]),
-            "change": quartiles(sides["change"]),
-            "wins": wins,
-            "pairs": len(pairs),
-        }
+        out[name] = {"better": direction, "wins": wins, "pairs": len(pairs)}
+        for side, values in sides.items():
+            out[name][side] = dict(quartiles(values), min=min(values), max=max(values))
     return out
 
 
@@ -138,18 +134,22 @@ def judge(row: dict, bound: float) -> dict:
     ``move`` is the change's median less the parent's, over the parent's
     median (or absolute where that median is 0), signed so that worse is
     positive; ``bound_share`` is move / bound. ``parent_spread`` is the
-    parent's quartile distance on the same scale. The verdict is
-    "unresolved" where that spread is wider than the bound, since the
-    parent's own runs then move further than the bound; otherwise "worse
-    past bound" where the move is over the bound, else "within bound".
+    parent's quartile distance on the same scale. Where that spread is
+    wider than the bound, the parent's own runs move further than the
+    bound, so the verdict is "unresolved", unless every change run beats
+    every parent run (by the side's min and max): then it is "better in
+    every run". Otherwise it is "worse past bound" where the move is over
+    the bound, else "within bound".
     """
     parent, change = row["parent"], row["change"]
     scale = abs(parent["median"]) or 1.0
-    sign = 1.0 if row["better"] == "lower" else -1.0
+    lower = row["better"] == "lower"
+    sign = 1.0 if lower else -1.0
     move = sign * (change["median"] - parent["median"]) / scale
     spread = (parent["q3"] - parent["q1"]) / scale
     if spread > bound:
-        verdict = "unresolved"
+        every = change["max"] < parent["min"] if lower else change["min"] > parent["max"]
+        verdict = "better in every run" if every else "unresolved"
     elif move > bound:
         verdict = "worse past bound"
     else:

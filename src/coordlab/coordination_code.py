@@ -247,6 +247,10 @@ class TableCode:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    def __reduce__(self):
+        # a copy is built again: checked and read-only
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
+
     @property
     def is_cascade(self) -> bool:
         return self.recoder is not None

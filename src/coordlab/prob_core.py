@@ -7,7 +7,10 @@ averaged-marginal identity for expected types.
 
 Everything is plain numpy on small dense tensors. All container types are
 immutable after construction and all operations are pure functions, so they
-are safe to share across worker threads.
+are safe to share across worker threads. pickle and copy.deepcopy build each
+copy through the constructor (``__reduce__``), so a copy's arrays are
+checked and read-only too; the checks copy or clip, which leaves a valid
+array's bits as they were.
 """
 
 from __future__ import annotations
@@ -98,6 +101,9 @@ class Pmf:
             raise ValueError(f"Pmf: mass must be 1-D, got shape {arr.shape}")
         object.__setattr__(self, "mass", arr)
 
+    def __reduce__(self):
+        return type(self), (self.mass,)
+
     @property
     def alphabet_size(self) -> int:
         return self.mass.shape[0]
@@ -117,6 +123,9 @@ class JointPmf:
         if not 1 <= arr.ndim <= 3:
             raise ValueError(f"JointPmf: expected 1-3 axes, got {arr.ndim}")
         object.__setattr__(self, "mass", arr)
+
+    def __reduce__(self):
+        return type(self), (self.mass,)
 
     @property
     def shape(self) -> tuple:
@@ -148,6 +157,9 @@ class CondPmf:
         np.clip(arr, 0.0, None, out=arr)
         arr.setflags(write=False)
         object.__setattr__(self, "rows", arr)
+
+    def __reduce__(self):
+        return type(self), (self.rows,)
 
     @property
     def input_size(self) -> int:
@@ -187,6 +199,9 @@ class TypeRecord:
             )
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
+
+    def __reduce__(self):
+        return type(self), (self.blocklength, self.counts)
 
     @property
     def mass(self) -> np.ndarray:

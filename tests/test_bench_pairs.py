@@ -46,6 +46,8 @@ def test_summarize_counts_wins_by_direction():
     assert out["ok"]["wins"] == 1 and out["ok"]["pairs"] == 3
     assert out["t"]["better"] == "lower" and out["ok"]["better"] == "higher"
     assert out["t"]["parent"]["median"] == 2.0 and out["t"]["change"]["median"] == 2.0
+    assert (out["t"]["parent"]["min"], out["t"]["parent"]["max"]) == (1.0, 3.0)
+    assert (out["t"]["change"]["min"], out["t"]["change"]["max"]) == (0.5, 2.5)
 
 
 def test_summarize_skips_unequal_pair_counts():
@@ -84,6 +86,35 @@ def test_judge_signs_a_higher_is_better_metric(change_value, verdict):
     assert got["verdict"] == verdict
     assert got["move"] == pytest.approx(1.0 - change_value)
     assert got["parent_spread"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "better, change_values, verdict",
+    [
+        # parent runs 0.150-0.300 s, quartiles 0.175 and 0.275 (+50 % of
+        # the median, over the 25 % bound)
+        ("lower", (0.100, 0.120, 0.140), "better in every run"),
+        ("lower", (0.100, 0.120, 0.160), "unresolved"),  # one change run inside
+        ("lower", (0.400, 0.410, 0.420), "unresolved"),  # worse in every run
+        ("higher", (0.310, 0.320, 0.330), "better in every run"),
+        ("higher", (0.100, 0.310, 0.320), "unresolved"),
+    ],
+)
+def test_judge_verdicts_past_a_wide_parent_spread(better, change_values, verdict):
+    parent = runs_of("parent", [{"m": v} for v in (0.150, 0.200, 0.250, 0.300)])
+    change = runs_of("change", [{"m": v} for v in change_values + (change_values[-1],)])
+    row = bench_pairs.summarize(parent + change, {"m": better})["m"]
+    got = bench_pairs.judge(row, 0.25)
+    assert got["parent_spread"] > got["bound"]
+    assert got["verdict"] == verdict
+
+
+def test_judge_a_tie_with_the_best_parent_run_is_not_better():
+    # the change's slowest run equals the parent's fastest one
+    parent = runs_of("parent", [{"m": v} for v in (0.150, 0.200, 0.250, 0.300)])
+    change = runs_of("change", [{"m": v} for v in (0.100, 0.120, 0.150, 0.150)])
+    row = bench_pairs.summarize(parent + change, {"m": "lower"})["m"]
+    assert bench_pairs.judge(row, 0.25)["verdict"] == "unresolved"
 
 
 @pytest.mark.parametrize("data_filter", [True, False])

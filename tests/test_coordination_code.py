@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from coordlab import coordination_code as cc
 from coordlab import instances as ins
 from coordlab import prob_core as pc
+from coordlab import region_solver as rs
 
 
 def copy_code():
@@ -917,8 +918,36 @@ class TestCopies:
             assert_copy_rebuilt(code, clone)
 
 
+    @pytest.mark.parametrize(
+        "make, arrays",
+        [
+            (lambda: pc.Pmf([0.2, 0.3, 0.5]), lambda v: [v.mass]),
+            (lambda: pc.JointPmf([[0.1, 0.2], [0.3, 0.4]]), lambda v: [v.mass]),
+            (lambda: TERNARY_Q, lambda v: [v.rows]),
+            (lambda: pc.TypeRecord(4, [[1, 0], [2, 1]]), lambda v: [v.counts]),
+            (copy_code, lambda v: [v.encoder, v.decoder_mid]),
+            (
+                lambda: rs.solve_two_node(pc.Pmf([0.5, 0.5]), pc.CondPmf.identity(2), 0.1),
+                lambda v: [v.argmin_conditional.rows],
+            ),
+        ],
+        ids=["Pmf", "JointPmf", "CondPmf", "TypeRecord", "TableCode", "RegionPoint"],
+    )
+    def test_value_classes(self, make, arrays):
+        # each copy is built through the constructor: its arrays are its
+        # own, read-only and equal to the original's, bit for bit
+        value = make()
+        for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert type(clone) is type(value)
+            for arr, orig in zip(arrays(clone), arrays(value), strict=True):
+                assert not orig.flags.writeable and not arr.flags.writeable
+                assert arr.dtype == orig.dtype and arr.tobytes() == orig.tobytes()
+                assert not np.shares_memory(arr, orig)
+
+
 def assert_copy_rebuilt(code, clone):
     """A copy holds its own read-only arrays, equal to the original's."""
+    assert not clone.target.mass.flags.writeable
     for name in ("packed_y", "symbols_y", "symbols_z", "recoder"):
         arr, orig = getattr(clone, name), getattr(code, name)
         assert (arr is None) == (orig is None)

@@ -100,13 +100,22 @@ def battery_programs(fraction):
     ]
 
 
+def random_cascades(count):
+    """perfbench's random 2x2x2 cascade instances, drawn as its
+    ``random_cascade_instances(count, 2027)`` draws them."""
+    rng = np.random.default_rng(2027)
+    return [
+        (
+            pc.Pmf(rng.dirichlet(np.ones(2) * 1.5)),
+            pc.CondPmf(rng.dirichlet(np.ones(4) * 1.2, size=2).reshape(2, 2, 2)),
+        )
+        for _ in range(count)
+    ]
+
+
 def random_cascade():
     """perfbench's random 2x2x2 cascade instance (its ``frontier_cascade``)."""
-    rng = np.random.default_rng(2027)
-    return (
-        pc.Pmf(rng.dirichlet(np.ones(2) * 1.5)),
-        pc.CondPmf(rng.dirichlet(np.ones(4) * 1.2, size=2).reshape(2, 2, 2)),
-    )
+    return random_cascades(1)[0]
 
 
 def assert_feasible(prog, q):
@@ -238,7 +247,7 @@ def zero_entry_targets():
 
 
 def count_gap_checks(monkeypatch):
-    """Counts FISTA iterations: one gap check each."""
+    """Counts solver iterations: one gap check each."""
     calls = {"gap": 0}
     gap_at = rs._NeighborhoodProgram.gap_at
 
@@ -362,7 +371,7 @@ class TestObjective:
 
 
 def count_projections(monkeypatch):
-    """Counts ``project`` calls and FISTA iterations (one gap check each)."""
+    """Counts ``project`` calls and solver iterations (one gap check each)."""
     calls = count_gap_checks(monkeypatch)
     calls["project"] = 0
     project = rs._NeighborhoodProgram.project
@@ -391,17 +400,6 @@ class TestBacktracking:
                 assert rs.solve_two_node(p0, tgt, float(d)).certificate <= tol
         assert calls["project"] <= 1150
         assert calls["gap"] <= 720
-
-    def test_random_cascade_counts(self, monkeypatch):
-        # perfbench's random cascade at 1/4, 1/2 and 3/4 of delta*: 1,026
-        # projections halving the estimate alone, 679 seeded
-        calls = count_projections(monkeypatch)
-        p0, tgt = random_cascade()
-        ds = rs.delta_star(p0, tgt)
-        for fraction in (0.25, 0.5, 0.75):
-            pts = rs.solve_cascade(p0, tgt, fraction * ds)
-            assert max(p.certificate for p in pts) <= rs.SolverConfig().duality_gap_tol
-        assert calls["project"] <= 760
 
     def test_steps_stay_finite(self, monkeypatch):
         # a step from an extrapolated point off the orthant (f = inf there)
@@ -444,6 +442,109 @@ class TestBacktracking:
             pt, star = rs.solve_two_node(p0, tgt, d), rs.solve_two_node(p0, tgt, d, tight)
             assert pt.certificate <= rs.SolverConfig().duality_gap_tol
             assert star.R1 - star.certificate - 1e-12 <= pt.R1 <= star.R1 + pt.certificate + 1e-12
+
+
+def cascade_sweeps():
+    """(id, source, target, delta, config): scripts/specs/cascade_small.json
+    at each radius of its grid, and the three ``random_cascades`` at 1/4,
+    1/2 and 3/4 of delta*."""
+    spec = cli.load_problem_spec(os.path.join(SPEC_DIR, "cascade_small.json"))
+    cases = [
+        (f"cascade_small-{d}", spec.source, spec.target, d, spec.solver)
+        for d in spec.delta_grid
+    ]
+    for i, (p0, tgt) in enumerate(random_cascades(3)):
+        ds = rs.delta_star(p0, tgt)
+        cases += [(f"random{i}-{f}", p0, tgt, f * ds, rs.SolverConfig()) for f in (0.25, 0.5, 0.75)]
+    return cases
+
+
+def fista_spy(monkeypatch):
+    """Counts ``_fista`` calls, passing each through."""
+    calls = []
+    fista = rs._fista
+
+    def spy(*args):
+        calls.append(args)
+        return fista(*args)
+
+    monkeypatch.setattr(rs, "_fista", spy)
+    return calls
+
+
+class TestSpg:
+    """The cascade sweep runs on nonmonotone spectral projected gradient;
+    the two-node solve keeps FISTA."""
+
+    def test_random_cascade_counts(self, monkeypatch):
+        # perfbench's random cascade at 1/4, 1/2 and 3/4 of delta*: FISTA
+        # took 679 projections in 391 iterations; SPG takes 384 in 285
+        calls = count_projections(monkeypatch)
+        p0, tgt = random_cascade()
+        ds = rs.delta_star(p0, tgt)
+        for fraction in (0.25, 0.5, 0.75):
+            pts = rs.solve_cascade(p0, tgt, fraction * ds)
+            assert max(p.certificate for p in pts) <= rs.SolverConfig().duality_gap_tol
+        assert calls["project"] <= 420
+        assert calls["gap"] <= 310
+
+    def test_cascade_does_not_call_fista(self, monkeypatch):
+        calls = fista_spy(monkeypatch)
+        p0, tgt = random_cascade()
+        assert rs.solve_cascade(p0, tgt, 0.5 * rs.delta_star(p0, tgt))
+        assert calls == []
+
+    def test_two_node_calls_fista(self, monkeypatch, uniform_binary, identity_channel):
+        calls = fista_spy(monkeypatch)
+        rs.solve_two_node(uniform_binary, identity_channel, 0.2)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("case", cascade_sweeps(), ids=lambda c: c[0])
+    def test_matches_fista(self, monkeypatch, case):
+        # every point certifies, and at every weight either sweep reports
+        # the frontier's weighted minimum lies within both sweeps'
+        # certificates of the one the same sweep reaches through FISTA
+        _, p0, tgt, delta, config = case
+        tol = rs.SolverConfig().duality_gap_tol
+        pts = rs.solve_cascade(p0, tgt, delta, config)
+        assert max(p.certificate for p in pts) <= tol
+        monkeypatch.setattr(rs, "_spg", rs._fista)
+        ref = rs.solve_cascade(p0, tgt, delta, config)
+        allowed = max(p.certificate for p in pts) + max(p.certificate for p in ref)
+        weights = set()
+        for lam in {p.lam for p in pts + ref}:
+            weights |= {0.0, 1.0} if lam is None else {min(max(lam, 1e-6), 1.0 - 1e-6)}
+        for w in sorted(weights):
+            got = min(w * p.R1 + (1.0 - w) * p.R2 for p in pts)
+            want = min(w * p.R1 + (1.0 - w) * p.R2 for p in ref)
+            assert abs(got - want) <= allowed + 1e-15
+
+    def test_steps_stay_finite(self, monkeypatch):
+        # A zero step (s = 0, so s'y = 0) lands on a fixed point of the
+        # projected gradient, which certifies at the default tolerance; at
+        # 1e-16 the loop goes on, and the next step takes the spectral
+        # step's cap, alpha = 1e10: that projected input is far out, but
+        # finite, and so is every value after it
+        inputs = []
+        project = rs._NeighborhoodProgram.project
+
+        def spy(self, v):
+            inputs.append((bool(np.isfinite(v).all()), float(np.abs(v).max())))
+            return project(self, v)
+
+        monkeypatch.setattr(rs._NeighborhoodProgram, "project", spy)
+        z_copies_x = np.zeros((2, 2, 2))  # Y constant
+        z_copies_x[0, 0, 0] = z_copies_x[1, 0, 1] = 1.0
+        cases = [(pc.Pmf([0.7, 0.3]), pc.CondPmf(z_copies_x)), random_cascades(2)[1]]
+        config = rs.SolverConfig(duality_gap_tol=1e-16, scalarization_weights=(0.0, 0.5, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p0, tgt in cases:
+                pts = rs.solve_cascade(p0, tgt, 0.25 * rs.delta_star(p0, tgt), config)
+                assert all(math.isfinite(p.R1) and math.isfinite(p.R2) for p in pts)
+                assert max(p.certificate for p in pts) <= 1e-16
+        assert all(finite for finite, _ in inputs)
+        assert max(size for _, size in inputs) >= 1e9
 
 
 class TestCascade:
