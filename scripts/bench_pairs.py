@@ -16,7 +16,11 @@ traced run per side and workload (``--trace 1``) adds the per-layer
 metrics. The BENCH file holds the environment, both commit ids, every
 run's metrics, per workload and seed the median, quartiles, min and max
 of each end-to-end metric on each side and in how many pairs the change
-beat the parent, and per workload the traced metrics of both sides. The
+beat the parent, and per workload the traced metrics of both sides. Each
+run also keeps perfbench's report lines (``parse_report``), and the
+summary gives the same figures for the raw pass wall, ``battery_wall_s``,
+and the number of passes a run completed, ``passes``, which are printed
+beside the end-to-end rows. The
 environment adds the variables in ``SETUP_VARIABLES``, or null. Each
 end-to-end metric with a bound in ``BENCHMARK.json`` also gets the
 change's median move as a share of that bound and a verdict (see
@@ -31,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -42,6 +47,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Variables the runs inherit that move setup_s: with the first set, every
 # process compiles its sources from text; the others size the BLAS pools.
 SETUP_VARIABLES = ("PYTHONDONTWRITEBYTECODE", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+# perfbench's report lines: "<workload> <name> = <value> <unit> (n=<count>)"
+REPORT_LINE = re.compile(r"(\S+) (\S+) = (\S+) (\S+) \(n=([^)]*)\)")
+# summarized from the battery_wall_s line: the raw pass wall and the passes run
+REPORTED = {"battery_wall_s": "lower", "passes": "higher"}
 
 
 def git(*args: str) -> str:
@@ -96,7 +105,27 @@ def run_bench(tree: str, workload: str, seed: int, seconds: float, trace: int) -
     env = json.loads(lines[0]).get("env", {}) if len(lines) > 1 else {}
     result = json.loads(lines[-1])
     result["returncode"] = proc.returncode
-    return {"env": env, "result": result}
+    return {"env": env, "result": result, "report": parse_report(proc.stdout, workload)}
+
+
+def parse_report(stdout: str, workload: str) -> dict:
+    """perfbench's report lines for workload, by name: value, unit and the
+    count n (an int where it is one, else its text, as "0/2700")."""
+    out = {}
+    for line in stdout.splitlines():
+        got = REPORT_LINE.fullmatch(line.strip())
+        if got and got[1] == workload:
+            n = got[5]
+            out[got[2]] = {"value": float(got[3]), "unit": got[4],
+                           "n": int(n) if n.isdigit() else n}
+    return out
+
+
+def reported(run: dict) -> dict:
+    """A run's raw pass wall and pass count, from its battery_wall_s line;
+    empty where the run printed none."""
+    wall = run.get("report", {}).get("battery_wall_s")
+    return {} if wall is None else {"battery_wall_s": wall["value"], "passes": wall["n"]}
 
 
 def setup_environment(environ=os.environ) -> dict:
@@ -125,6 +154,14 @@ def summarize(runs: list, better: dict) -> dict:
         out[name] = {"better": direction, "wins": wins, "pairs": len(pairs)}
         for side, values in sides.items():
             out[name][side] = dict(quartiles(values), min=min(values), max=max(values))
+    return out
+
+
+def summarize_seed(runs: list, better: dict) -> dict:
+    """``summarize`` of the runs' metrics, then of their ``reported``
+    pass wall and pass count."""
+    out = summarize(runs, better)
+    out.update(summarize([{"side": r["side"], "metrics": reported(r)} for r in runs], REPORTED))
     return out
 
 
@@ -214,9 +251,11 @@ def main(argv=None) -> int:
                         metrics = {k: v["value"] for k, v in res.get("metrics", {}).items()}
                         runs.append({"workload": workload, "seed": seed, "pair": pair,
                                      "side": side, "correct": res.get("correct"),
-                                     "returncode": res["returncode"], "metrics": metrics})
+                                     "returncode": res["returncode"], "metrics": metrics,
+                                     "report": got["report"]})
                         print(f"{workload} seed {seed} pair {pair} {side}: "
-                              + json.dumps(metrics, sort_keys=True), flush=True)
+                              + json.dumps({**metrics, **reported(runs[-1])}, sort_keys=True),
+                              flush=True)
             traced[workload] = {}
             for side in ("parent", "change"):
                 res = run_bench(trees[side], workload, seeds[0], args.seconds, 1)["result"]
@@ -231,7 +270,7 @@ def main(argv=None) -> int:
     env.update(setup_environment())
     summary = {
         workload: {
-            str(seed): summarize(
+            str(seed): summarize_seed(
                 [r for r in runs if r["workload"] == workload and r["seed"] == seed], better
             )
             for seed in seeds

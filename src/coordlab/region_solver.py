@@ -26,14 +26,18 @@ steps on the piecewise-linear l1 cost. On a fixed active pattern that
 cost is affine in the multiplier with a closed-form root; each step goes
 to the root of the pattern just met, and the search starts at the root
 of the last projection's pattern for the new point, where one prox
-evaluation usually meets the budget. The linear minimization
+evaluation usually meets the budget. On arrays of a few entries numpy's
+per-call overhead is a projection's cost (about 85 us on criterion 03/05's
+battery, 2-core Xeon), so the kernels make as few calls as give the same
+bits. The linear minimization
 behind the Frank-Wolfe duality gap is a fractional knapsack
 solved greedily. The gap is checked after every iteration and the
 first iterate it certifies is returned. Endpoints (delta = 0 and delta
 past the zero-rate threshold delta*) are returned from closed forms with
 zero gap; delta* itself is a separable piecewise-linear minimization
-solved by a greedy fill. Both loops start on the segment from the target to
-the delta* point p0 x r*, at TV delta; where that start keeps a zero in
+solved by a greedy fill, once per (source, target). Both loops start
+on the segment from the target to the delta* point p0 x r*, at TV
+delta; where that start keeps a zero in
 a column of positive output marginal (a deterministic target whose r*
 is a vertex), I's gradient there is log2 of the floor _TINY and the loop
 crawls, so it starts on the segment to p0 x marginal instead, which is
@@ -129,10 +133,9 @@ def _flat_rows(target: CondPmf) -> np.ndarray:
     return target.rows.reshape(target.rows.shape[0], -1)
 
 
-def _prox_entries(p, d, c, nu):
-    """max(p + soft(d - nu, c), 0), elementwise with broadcasting."""
-    t = d - nu
-    return np.maximum(p + np.sign(t) * np.maximum(np.abs(t) - c, 0.0), 0.0)
+def _soft(t, c):
+    """The soft threshold sign(t) max(|t| - c, 0), to the bit, with broadcasting."""
+    return t - np.minimum(np.maximum(t, -c), c)
 
 
 class _NeighborhoodProgram:
@@ -154,6 +157,11 @@ class _NeighborhoodProgram:
         self.p = rows[self.support]
         self.k, self.m = self.p.shape
         self._rows, self._w2 = np.arange(self.k), self.w**2
+        self._w_col, self._w_twice, self._p3 = self.w[:, None], 2.0 * self.w, self.p[:, None, :]
+        self._unit = np.repeat(self._w_twice, self.m)  # budget per unit of mass moved
+        self._price = self._unit * self.p.ravel()
+        self._band = np.repeat([-1.0, 1.0, 1.0], self.m)  # breakpoints' signs of c
+        self._offsets = 3 * self.m * self._rows  # row starts in a flat breakpoint array
         self.budget = 2.0 * delta  # sum_x w_x ||q_x - p_x||_1 <= 2 delta
         self._pattern = None  # active pattern of the last projection
 
@@ -164,14 +172,14 @@ class _NeighborhoodProgram:
         return float((self.w @ rel_entr(q, self.w @ q)).sum() / LN2)
 
     def mi_grad(self, q: np.ndarray) -> np.ndarray:
-        marg = (self.w[:, None] * q).sum(axis=0)
-        ratio = np.maximum(q, _TINY) / np.maximum(marg, _TINY)[None, :]
-        return self.w[:, None] * (np.log(ratio) / LN2)
+        marg = (self._w_col * q).sum(axis=0)
+        ratio = np.maximum(q, _TINY) / np.maximum(marg, _TINY)
+        return self._w_col * (np.log(ratio) / LN2)
 
     # geometry ---------------------------------------------------------
 
     def l1_cost(self, q: np.ndarray) -> float:
-        return float((self.w[:, None] * np.abs(q - self.p)).sum())
+        return float((self._w_col * np.abs(q - self.p)).sum())
 
     def _prox_rows(self, v: np.ndarray, c: np.ndarray):
         """Per row, argmin of 1/2||q_x - v_x||^2 + c_x ||q_x - p_x||_1 over the
@@ -185,25 +193,23 @@ class _NeighborhoodProgram:
         # at d - c, d + c and v + c (where it reaches zero); so is the row sum,
         # which is 0 at the last breakpoint.
         cc = c[:, None]
-        bp = np.concatenate([d - cc, d + cc, v + cc], axis=1)
+        bp = np.concatenate([d, d, v], axis=1) + cc * self._band
         bp.sort(axis=1)
-        sums = _prox_entries(
-            self.p[:, None, :], d[:, None, :], c[:, None, None], bp[:, :, None]
-        ).sum(axis=2)
+        t = d[:, None, :] - bp[:, :, None]
+        sums = np.maximum(self._p3 + _soft(t, cc[:, :, None]), 0.0).sum(axis=2)
         j = (sums >= 1.0).sum(axis=1) - 1
         # Left of every breakpoint all m entries fall with slope -1: there
         # the interpolation runs from the first breakpoint at slope -m.
         left = j < 0
-        j = j + left
-        rows = self._rows
-        b0, s0, s1 = bp[rows, j], sums[rows, j], sums[rows, j + 1]
-        nu = b0 + (s0 - 1.0) / np.where(left, self.m, s0 - s1) * np.where(
-            left, 1.0, bp[rows, j + 1] - b0
-        )
-        q = _prox_entries(self.p, d, cc, nu[:, None])
-        t = d - nu[:, None]
+        at = self._offsets + j + left
+        b0, b1, s0, s1 = bp.take(at), bp.take(at + 1), sums.take(at), sums.take(at + 1)
+        nu = b0 + (s0 - 1.0) / np.where(left, self.m, s0 - s1) * np.where(left, 1.0, b1 - b0)
+        soft = _soft(d - nu[:, None], cc)
+        q = np.maximum(self.p + soft, 0.0)
+        # soft > 0 on U, where q > p >= 0, so only D entries are clipped to 0
         zero = q == 0.0
-        s = (t > cc).astype(float) - ((t < -cc) & ~zero)
+        s = np.sign(soft)
+        s[zero] = 0.0
         # A row far from the simplex leaves nu with few low bits; the
         # renormalization keeps its sum within rounding of 1.
         return q / q.sum(axis=1, keepdims=True), (s, zero)
@@ -248,21 +254,23 @@ class _NeighborhoodProgram:
         v = v - v.max(axis=1, keepdims=True)  # row shifts do not move it
         d = v - self.p
         # Past hi every row's prox is the target row; lo = 0 is unprobed.
-        lo, f_lo, q_lo, pat_lo = 0.0, np.inf, None, None
-        hi = float(((d.max(axis=1) - d.min(axis=1)) / (2.0 * self.w)).max())
-        f_hi, q_hi, pat_hi = -self.budget, self.p.copy(), None
+        # Each end keeps its l1 cost for the rounding check.
+        lo, f_lo, q_lo, pat_lo, cost_lo = 0.0, np.inf, None, None, None
+        hi = float(((d.max(axis=1) - d.min(axis=1)) / self._w_twice).max())
+        f_hi, q_hi, pat_hi, cost_hi = -self.budget, self.p, None, 0.0
         mu = self._pattern_root(d, self._pattern)
         mu = max(mu, 0.0) if mu < hi else 0.0  # nan starts at 0 too
         for _ in range(_ROOT_STEPS):
             q, pattern = self._prox_rows(v, mu * self.w)
-            f = self.l1_cost(q) - self.budget
+            cost = self.l1_cost(q)
+            f = cost - self.budget
             if f > 0.0:
-                lo, f_lo, q_lo, pat_lo = mu, f, q, pattern
+                lo, f_lo, q_lo, pat_lo, cost_lo = mu, f, q, pattern, cost
             elif mu == 0.0:
                 self._pattern = pattern
                 return q
             else:
-                hi, f_hi, q_hi, pat_hi = mu, f, q, pattern
+                hi, f_hi, q_hi, pat_hi, cost_hi = mu, f, q, pattern, cost
             # Stop once an end meets the budget to the rounding of the cost
             # sum, mu is its own pattern's root, or the bracket has closed
             # to rounding.
@@ -278,12 +286,12 @@ class _NeighborhoodProgram:
                 mu = 0.5 * (lo + hi)
                 if not lo < mu < hi:
                     break
-        q, self._pattern = (q_lo, pat_lo) if f_lo < -f_hi else (q_hi, pat_hi)
+        end = (q_lo, pat_lo, cost_lo) if f_lo < -f_hi else (q_hi, pat_hi, cost_hi)
+        q, self._pattern, cost = end
         # A rounding excess goes back along the ray to the target, which
         # scales the l1 cost linearly and stays inside the simplex.
-        cost = self.l1_cost(q)
         if cost <= self.budget:
-            return q
+            return q.copy() if q is self.p else q
         return self.p + (self.budget / cost) * (q - self.p)
 
     # Frank-Wolfe gap --------------------------------------------------
@@ -296,17 +304,16 @@ class _NeighborhoodProgram:
         (grad_xy - min grad_x) t, so mass moves greedily in decreasing
         gain per unit of budget until the budget is spent.
         """
-        unit = np.repeat(2.0 * self.w, self.m)  # budget per unit of mass moved
-        gain = (grad - grad.min(axis=1, keepdims=True)).ravel() / unit
-        order = np.argsort(-gain, kind="stable")
-        price = (unit * self.p.ravel())[order]
-        spend = np.clip(self.budget - (np.cumsum(price) - price), 0.0, price)
+        gain = (grad - grad.min(axis=1, keepdims=True)).ravel() / self._unit
+        order = (-gain).argsort(kind="stable")
+        price = self._price[order]
+        spend = np.minimum(np.maximum(self.budget - (price.cumsum() - price), 0.0), price)
         spend[gain[order] <= 0.0] = 0.0
         moved = np.zeros(self.k * self.m)
-        moved[order] = spend / unit[order]
+        moved[order] = spend / self._unit[order]
         moved = np.minimum(moved.reshape(self.k, self.m), self.p)
         s = self.p - moved
-        s[np.arange(self.k), grad.argmin(axis=1)] += moved.sum(axis=1)
+        s[self._rows, grad.argmin(axis=1)] += moved.sum(axis=1)
         return s
 
     def gap_at(self, q: np.ndarray, grad: np.ndarray) -> float:
@@ -482,7 +489,24 @@ def delta_star(p0: Pmf, target: CondPmf) -> float:
     return _delta_star_full(p0, target)[0]
 
 
+_DELTA_STAR_MEMO: dict = {}  # (source, target) by value -> (delta*, read-only r*)
+_DELTA_STAR_MEMO_SIZE = 64
+
+
 def _delta_star_full(p0: Pmf, target: CondPmf):
+    """``_delta_star_greedy``, solved once per (source, target) value."""
+    key = (p0.mass.shape, p0.mass.tobytes(), target.rows.shape, target.rows.tobytes())
+    hit = _DELTA_STAR_MEMO.get(key)
+    if hit is None:
+        if len(_DELTA_STAR_MEMO) >= _DELTA_STAR_MEMO_SIZE:
+            _DELTA_STAR_MEMO.clear()
+        hit = _delta_star_greedy(p0, target)
+        hit[1].setflags(write=False)
+        _DELTA_STAR_MEMO[key] = hit
+    return hit
+
+
+def _delta_star_greedy(p0: Pmf, target: CondPmf):
     """(threshold, optimal output pmf r): the minimum over output pmfs r of
     TV(compose(p0, target), p0 x r) = sum_y 1/2 sum_x w_x |p_xy - r_y|.
 

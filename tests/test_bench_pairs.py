@@ -1,6 +1,6 @@
 """The pure parts of scripts/bench_pairs.py: quartiles, pair summaries,
-verdicts against a bound and the tar extraction on Pythons whose tarfile
-has no "data" filter."""
+verdicts against a bound, perfbench's report lines and the tar extraction
+on Pythons whose tarfile has no "data" filter."""
 
 import importlib.util
 import io
@@ -181,3 +181,52 @@ def test_claim_on_a_higher_is_better_metric():
     row = bench_pairs.summarize(parent + change, {"ok_share": "higher"})["ok_share"]
     got = bench_pairs.claim(row)
     assert got["met"] and got["gain"] == pytest.approx(0.09)
+
+
+# perfbench's stdout for a 3 s frontier_two_node run, env line shortened
+PERFBENCH_STDOUT = """\
+{"env": {"seed": 3, "trace": 0, "workload": "frontier_two_node"}}
+frontier_two_node solves_per_s = 917.876 1/s (n=2700)
+frontier_two_node failed_share = 0 ratio (n=0/2700)
+frontier_two_node peak_rss_mb = 46.6914 MB (n=1)
+frontier_two_node battery_wall_s = 0.192282 s (n=15)
+frontier_two_node battery_ref_s = 0.232154 s (n=15)
+{"correct": true, "attempted": 2700, "failed": 0, "metrics": {}}
+"""
+
+
+def test_parse_report_reads_each_line_of_the_workload():
+    got = bench_pairs.parse_report(PERFBENCH_STDOUT, "frontier_two_node")
+    assert list(got) == ["solves_per_s", "failed_share", "peak_rss_mb", "battery_wall_s",
+                         "battery_ref_s"]
+    assert got["battery_wall_s"] == {"value": 0.192282, "unit": "s", "n": 15}
+    assert got["solves_per_s"] == {"value": 917.876, "unit": "1/s", "n": 2700}
+    assert got["failed_share"] == {"value": 0.0, "unit": "ratio", "n": "0/2700"}
+    # another workload's lines, the JSON lines and stderr-like text are not read
+    assert bench_pairs.parse_report(PERFBENCH_STDOUT, "oracle_scan") == {}
+    assert bench_pairs.parse_report("CHECK FAILED: x = 1 s (n=2)\n", "CHECK") == {}
+
+
+def test_reported_takes_the_pass_wall_and_count():
+    run = {"report": bench_pairs.parse_report(PERFBENCH_STDOUT, "frontier_two_node")}
+    assert bench_pairs.reported(run) == {"battery_wall_s": 0.192282, "passes": 15}
+    assert bench_pairs.reported({"report": {}}) == {}
+    assert bench_pairs.reported({}) == {}  # a run recorded before reports were kept
+
+
+def test_summarize_seed_adds_the_pass_wall_and_count():
+    def run(side, ref, wall, passes):
+        return {"side": side, "metrics": {"battery_ref_s": ref},
+                "report": {"battery_wall_s": {"value": wall, "unit": "s", "n": passes}}}
+
+    runs = [run("parent", 0.22, 0.159, 162), run("change", 0.176, 0.127, 204),
+            run("change", 0.175, 0.128, 203), run("parent", 0.221, 0.160, 161)]
+    out = bench_pairs.summarize_seed(runs, {"battery_ref_s": "lower"})
+    assert list(out) == ["battery_ref_s", "battery_wall_s", "passes"]
+    assert out["battery_wall_s"]["wins"] == 2 and out["battery_wall_s"]["better"] == "lower"
+    assert out["battery_wall_s"]["change"]["median"] == pytest.approx(0.1275)
+    assert out["passes"]["wins"] == 2 and out["passes"]["better"] == "higher"
+    assert out["passes"]["parent"]["median"] == 161.5
+    # runs without report lines leave the two rows out
+    bare = [{"side": r["side"], "metrics": r["metrics"]} for r in runs]
+    assert list(bench_pairs.summarize_seed(bare, {"battery_ref_s": "lower"})) == ["battery_ref_s"]

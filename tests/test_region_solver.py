@@ -231,6 +231,61 @@ class TestDeltaStar:
             assert abs(tv - value) <= 1e-15
 
 
+class TestDeltaStarMemo:
+    """delta* is solved once per (source, target) value."""
+
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        memo = {}
+        monkeypatch.setattr(rs, "_DELTA_STAR_MEMO", memo)
+        return memo
+
+    def test_same_bits_as_the_greedy_fill(self, memo):
+        for p0, tgt in delta_star_instances():
+            value, r = rs._delta_star_greedy(p0, tgt)
+            for _ in range(2):  # solved, then from the memo
+                got_value, got_r = rs._delta_star_full(p0, tgt)
+                assert got_value == value and got_r.tobytes() == r.tobytes()
+                assert rs.delta_star(p0, tgt) == value
+
+    def test_r_star_is_read_only(self, memo, uniform_binary, identity_channel):
+        _, r = rs._delta_star_full(uniform_binary, identity_channel)
+        with pytest.raises(ValueError):
+            r[0] = 0.0
+        want = rs._delta_star_greedy(uniform_binary, identity_channel)[1]
+        assert rs._delta_star_full(uniform_binary, identity_channel)[1].tobytes() == want.tobytes()
+
+    def test_keyed_by_value(self, memo):
+        p0, tgt = random_cascade()
+        first = rs._delta_star_full(p0, tgt)
+        # equal rows in new objects share the entry
+        assert rs._delta_star_full(pc.Pmf(p0.mass.copy()), pc.CondPmf(tgt.rows.copy())) is first
+        assert len(memo) == 1
+        # a row moved by one ulp, the same rows under another shape and
+        # another source each get their own entry
+        rows = tgt.rows.copy()
+        rows[0, 0, 0] = np.nextafter(rows[0, 0, 0], 1.0)
+        others = [
+            (p0, pc.CondPmf(rows)),
+            (p0, pc.CondPmf(tgt.rows.reshape(2, 4))),
+            (pc.Pmf(p0.mass[::-1]), tgt),
+        ]
+        for q0, other in others:
+            got = rs._delta_star_full(q0, other)
+            assert got is not first
+            value, r = rs._delta_star_greedy(q0, other)
+            assert got[0] == value and got[1].tobytes() == r.tobytes()
+        assert len(memo) == 4
+
+    def test_bounded(self, memo):
+        rng = np.random.default_rng(62)
+        p0 = pc.Pmf([0.4, 0.6])
+        for i in range(5 * rs._DELTA_STAR_MEMO_SIZE):
+            tgt = pc.CondPmf(rng.dirichlet(np.ones(3), size=2))
+            assert rs.delta_star(p0, tgt) == rs._delta_star_greedy(p0, tgt)[0]
+            assert 1 <= len(memo) <= rs._DELTA_STAR_MEMO_SIZE
+
+
 def zero_entry_targets():
     """(name, source, target): deterministic targets and a Z-channel; each
     has a zero entry in a column of positive output marginal."""
@@ -518,6 +573,65 @@ class TestSpg:
             got = min(w * p.R1 + (1.0 - w) * p.R2 for p in pts)
             want = min(w * p.R1 + (1.0 - w) * p.R2 for p in ref)
             assert abs(got - want) <= allowed + 1e-15
+
+    def test_line_search(self, monkeypatch):
+        # perfbench's random cascade at 1/4, 1/2 and 3/4 of delta*: every
+        # accepted trial meets the nonmonotone test against the last
+        # _SPG_MEMORY values, and some trials are rejected (13 in 285
+        # iterations); a loop that always accepts lam = 1 fails here
+        events = []
+        spg, project, objective = rs._spg, rs._NeighborhoodProgram.project, rs._objective
+
+        def spy_spg(*args):
+            events.append(("start",))
+            return spg(*args)
+
+        def spy_project(self, v):
+            q = project(self, v)
+            events.append(("project", q))
+            return q
+
+        def spy_objective(q, grad):
+            f = objective(q, grad)
+            events.append(("objective", q, grad, f))
+            return f
+
+        monkeypatch.setattr(rs, "_spg", spy_spg)
+        monkeypatch.setattr(rs._NeighborhoodProgram, "project", spy_project)
+        monkeypatch.setattr(rs, "_objective", spy_objective)
+        p0, tgt = random_cascade()
+        for fraction in (0.25, 0.5, 0.75):
+            rs.solve_cascade(p0, tgt, fraction * rs.delta_star(p0, tgt))
+        # each _spg call: start, project(q0), f(q); then per iteration one
+        # projection and the trials, the last of them accepted
+        calls = []
+        for event in events:
+            if event[0] == "start":
+                calls.append([])
+            else:
+                calls[-1].append(event)
+        accepted = rejected = 0
+        for call in calls:
+            assert [e[0] for e in call[:2]] == ["project", "objective"]
+            _, q, g, f = call[1]
+            recent = [f]
+            rest = call[2:]
+            while rest:
+                assert rest[0][0] == "project"
+                d = rest[0][1] - q
+                slope = float((g * d).sum())
+                n = next((i for i, e in enumerate(rest[1:], 1) if e[0] == "project"), len(rest))
+                trials, rest = rest[1:n], rest[n:]
+                rejected += len(trials) - 1
+                _, cand, g_cand, f_cand = trials[-1]
+                lam = float(((cand - q) * d).sum() / (d * d).sum())
+                # 1e-15: lam read back from the trial point, not the loop's
+                assert f_cand <= max(recent) + 1e-4 * lam * slope + 1e-15
+                accepted += 1
+                q, g, f = cand, g_cand, f_cand
+                recent = recent[1 - rs._SPG_MEMORY:] + [f]
+        assert accepted >= 250
+        assert rejected >= 1
 
     def test_steps_stay_finite(self, monkeypatch):
         # A zero step (s = 0, so s'y = 0) lands on a fixed point of the
@@ -874,3 +988,122 @@ class TestLinearMin:
                     ref = lp_argmin(prog, grad)
                     worst = max(worst, abs(float((grad * (s - ref)).sum())))
         assert worst <= 1e-12
+
+
+def prox_entries_ref(p, d, c, nu):
+    """max(p + sign(t) max(|t| - c, 0), 0) at t = d - nu: the soft threshold
+    as ``_prox_rows`` first wrote it."""
+    t = d - nu
+    return np.maximum(p + np.sign(t) * np.maximum(np.abs(t) - c, 0.0), 0.0)
+
+
+def prox_rows_ref(prog, v, c):
+    """``_prox_rows`` as first written, the reference for its bits: three
+    breakpoint arrays, a gather per bracket end and five comparisons for
+    the active pattern."""
+    d = v - prog.p
+    cc = c[:, None]
+    bp = np.concatenate([d - cc, d + cc, v + cc], axis=1)
+    bp.sort(axis=1)
+    sums = prox_entries_ref(prog.p[:, None, :], d[:, None, :], c[:, None, None], bp[:, :, None]).sum(axis=2)
+    j = (sums >= 1.0).sum(axis=1) - 1
+    left = j < 0
+    j = j + left
+    rows = np.arange(prog.k)
+    b0, s0, s1 = bp[rows, j], sums[rows, j], sums[rows, j + 1]
+    nu = b0 + (s0 - 1.0) / np.where(left, prog.m, s0 - s1) * np.where(left, 1.0, bp[rows, j + 1] - b0)
+    q = prox_entries_ref(prog.p, d, cc, nu[:, None])
+    t = d - nu[:, None]
+    zero = q == 0.0
+    s = (t > cc).astype(float) - ((t < -cc) & ~zero)
+    return q / q.sum(axis=1, keepdims=True), (s, zero)
+
+
+def linear_min_ref(prog, grad):
+    """``linear_min`` as first written, with ``np.clip``."""
+    unit = np.repeat(2.0 * prog.w, prog.m)
+    gain = (grad - grad.min(axis=1, keepdims=True)).ravel() / unit
+    order = np.argsort(-gain, kind="stable")
+    price = (unit * prog.p.ravel())[order]
+    spend = np.clip(prog.budget - (np.cumsum(price) - price), 0.0, price)
+    spend[gain[order] <= 0.0] = 0.0
+    moved = np.zeros(prog.k * prog.m)
+    moved[order] = spend / unit[order]
+    moved = np.minimum(moved.reshape(prog.k, prog.m), prog.p)
+    s = prog.p - moved
+    s[np.arange(prog.k), grad.argmin(axis=1)] += moved.sum(axis=1)
+    return s
+
+
+def left_of_breakpoints():
+    """(program, v): a target row whose entries sum to 1 - 2^-53 in floating
+    point, projected from itself. At the lowest breakpoint every entry is
+    its target entry, so the row sum is under 1 there and nu lies left of
+    every breakpoint."""
+    tgt = pc.CondPmf([[0.7, 0.2, 0.1], [0.2, 0.3, 0.5]])
+    for delta in (0.05, 0.2):
+        prog = rs._NeighborhoodProgram(pc.Pmf([0.4, 0.6]), tgt, delta)
+        assert prog.p[0].sum() < 1.0
+        yield prog, prog.p.copy()
+        yield prog, prog.p + np.array([[0.0, 0.0, 0.0], [0.3, -0.1, -0.2]])
+
+
+def clipped_zeros():
+    """(program, v): points with entries far below their rows, which the
+    projection clips to zero."""
+    rng = np.random.default_rng(72)
+    for prog in battery_programs(0.6)[:8]:
+        for scale in (0.1, 1.0, 10.0):
+            v = prog.p + 0.05 * rng.standard_normal(prog.p.shape)
+            v[rng.random(v.shape) < 0.4] -= scale
+            yield prog, v
+
+
+KERNEL_BATTERIES = {
+    "near_target": lambda: ((prog, v) for prog, v, _ in near_target_battery()),
+    "large_step": lambda: ((prog, v) for prog, v, _ in large_step_battery()),
+    "left_of_breakpoints": left_of_breakpoints,
+    "clipped_zeros": clipped_zeros,
+}
+
+
+def reference_copy(prog):
+    """A fresh program on prog's set whose prox is ``prox_rows_ref``."""
+    ref = rs._NeighborhoodProgram(prog.p0, prog.target, prog.delta)
+    ref._prox_rows = lambda v, c: prox_rows_ref(ref, v, c)
+    return ref
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestKernelBits:
+    """The kernels give the bytes of their first-written references, from a
+    fresh program and from one whose stored pattern is warm."""
+
+    @pytest.mark.parametrize("battery", sorted(KERNEL_BATTERIES))
+    def test_same_bytes_as_the_references(self, battery):
+        rng = np.random.default_rng(73)
+        clipped = 0
+        for prog, v in KERNEL_BATTERIES[battery]():
+            for warm in (False, True):
+                got = rs._NeighborhoodProgram(prog.p0, prog.target, prog.delta)
+                ref = reference_copy(prog)
+                if warm:  # both have projected the same three points
+                    for size in 10.0 ** rng.uniform(-2.0, 4.0, size=3):
+                        u = prog.p + size * rng.standard_normal(prog.p.shape)
+                        assert same_bits(got.project(u), ref.project(u))
+                assert same_bits(got.project(v), ref.project(v))
+                for a, b in zip(got._pattern or (), ref._pattern or ()):
+                    assert same_bits(a, b)
+                for mu in (0.0, 0.05, 1.0, 1e3):
+                    q, (s, zero) = got._prox_rows(v, mu * got.w)
+                    q_ref, (s_ref, zero_ref) = prox_rows_ref(got, v, mu * got.w)
+                    assert same_bits(q, q_ref) and same_bits(s, s_ref) and same_bits(zero, zero_ref)
+                    clipped += int(zero.sum())
+                for grad in (v, np.round(2.0 * v) / 2.0, got.mi_grad(got.project(v))):
+                    assert same_bits(got.linear_min(grad), linear_min_ref(got, grad))
+        if battery == "clipped_zeros":
+            assert clipped >= 50
