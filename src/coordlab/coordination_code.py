@@ -9,11 +9,15 @@ chunked deterministic Monte-Carlo estimator for everything larger.
 
 The minimum-TV encoder only ever compares joint types, and at a fixed
 source composition a joint type is a small integer count vector. So each
-code tabulates, once per composition it meets, the TV of every reachable
-count vector, computed with the same float expression the encoder promises;
-scoring a codeword is then an integer index and one lookup, and the chosen
-message (minimum TV, lowest index on float-equal ties) is exactly what a
-per-codeword float TV would give.
+code keeps one record per composition it meets, built once
+(``CodebookCode._record``): the place values of a count vector's index, the
+TV of every reachable count vector, computed with the same float expression
+the encoder promises, that table's floor and, for the walk, the table in TV
+order. Scoring a codeword is then an integer index and one lookup, and the
+chosen message (minimum TV, lowest index on float-equal ties) is exactly
+what a per-codeword float TV would give. Monte-Carlo worker threads share
+the records; each is a pure function of its composition, so a lost race
+only repeats work.
 
 ``CodebookCode.encode`` is the one entry for both codebook layouts, and
 the one place that picks a kernel: it counts each sample's source
@@ -412,11 +416,9 @@ class CodebookCode:
             arr = getattr(self, name)
             if arr is not None:
                 arr.setflags(write=False)
-        # Per-composition TV tables and their TV-sorted walks. Monte-Carlo
-        # worker threads fill them; each entry is a pure function of its
-        # key, so a lost race only repeats work.
-        object.__setattr__(self, "_tables", {})
-        object.__setattr__(self, "_walks", {})
+        # one record per source composition (``_record``), shared by the
+        # Monte-Carlo worker threads
+        object.__setattr__(self, "_records", {})
         index = None if self.packed_y is None else _WordIndex(self.packed_y, self.n)
         object.__setattr__(self, "_index", index)
 
@@ -438,7 +440,7 @@ class CodebookCode:
     def m1(self) -> int:
         return message_count(self.n, self.rate1)
 
-    # -- per-composition TV tables ----------------------------------------
+    # -- per-composition records ------------------------------------------
 
     def _tv_from_c1(self, c1_cols, comp, target: JointPmf) -> np.ndarray:
         """TV of the (X,Y) type to target, from counts of y=1 per x.
@@ -460,32 +462,41 @@ class CodebookCode:
         """Action symbols per codeword position: |Y|, or |Y||Z| for cascades."""
         return self.y_size * (self.z_size if self.is_cascade else 1)
 
-    def _radix(self, comp: tuple) -> list:
-        """Digit ranges of the table index at source composition comp: the
-        count of each action symbol but the first, per source symbol (the
-        first is what the composition leaves over; for a packed code, the
-        codeword's ones)."""
-        return [c + 1 for c in comp for _ in range(self._row_symbols - 1)]
+    def _record(self, comp: tuple) -> dict:
+        """The encoder's state at source composition comp, built once:
 
-    def _table(self, comp: tuple) -> Optional[np.ndarray]:
-        """TV to the target of every count vector the encoder can meet at
-        source composition comp, flat in the mixed radix of ``_radix`` (last
-        digit fastest).
+        - ``radix``: the digit ranges of the table index, the count of each
+          action symbol but the first, per source symbol (the first is what
+          the composition leaves over; for a packed code, the codeword's
+          ones);
+        - ``place``: each count's place value in that mixed radix (last
+          digit fastest), (A, K) over (source symbol, action symbol), 0 for
+          the first action symbol;
+        - ``table``: the TV to the target of every count vector the encoder
+          can meet, flat at its index; None past ``_TV_TABLE_CAP`` entries;
+        - ``floor``: the table's minimum;
+        - ``walk``: the table in increasing TV up to the walk budget,
+          filled by ``_walk``.
 
         Entries come from the encoders' own float expressions
         (``_tv_from_c1`` for packed codes, ``_tv_rows`` for symbol rows), so
         scoring a codeword by lookup keeps every float and every tie
-        exactly. Unreachable entries are inf. None when the table would
-        exceed ``_TV_TABLE_CAP`` entries.
+        exactly. Unreachable entries are inf.
         """
-        if comp in self._tables:
-            return self._tables[comp]
-        radix = self._radix(comp)
-        table = None
+        rec = self._records.get(comp)
+        if rec is not None:
+            return rec
+        k = self._row_symbols
+        radix = [c + 1 for c in comp for _ in range(k - 1)]
+        place = np.zeros((self.x_size, k), dtype=np.int64)
+        place[:, 1:] = np.array(
+            [math.prod(radix[i + 1 :]) for i in range(len(radix))], dtype=np.int64
+        ).reshape(self.x_size, k - 1)
+        rec = {"radix": radix, "place": place, "table": None, "floor": None, "walk": None}
         if math.prod(radix) <= _TV_TABLE_CAP:
             # the count vectors: a composition of each comp[a] into the
             # action symbols, per source symbol
-            parts = [_composition_parts(c, self._row_symbols) for c in comp]
+            parts = [_composition_parts(c, k) for c in comp]
             pick = np.indices([p.shape[0] for p in parts]).reshape(len(parts), -1)
             counts = np.concatenate([p[i] for p, i in zip(parts, pick)], axis=1)
             if self.packed_y is not None:
@@ -494,19 +505,10 @@ class CodebookCode:
             else:
                 tv = _tv_rows(counts, self.n, self.target.mass.ravel())
             table = np.full(math.prod(radix), np.inf)
-            table[counts @ self._strides(comp).ravel()] = tv
-        self._tables[comp] = table
-        return table
-
-    def _strides(self, comp: tuple) -> np.ndarray:
-        """Place value of each count in the table index, (A, K) over
-        (source symbol, action symbol), 0 for the first action symbol."""
-        radix = self._radix(comp)
-        place = [math.prod(radix[i + 1 :]) for i in range(len(radix))]
-        k = self._row_symbols
-        out = np.zeros((self.x_size, k), dtype=np.int64)
-        out[:, 1:] = np.array(place, dtype=np.int64).reshape(self.x_size, k - 1)
-        return out
+            table[counts @ place.ravel()] = tv
+            rec["table"], rec["floor"] = table, table.min()
+        self._records[comp] = rec
+        return rec
 
     # -- packed walk ------------------------------------------------------
 
@@ -518,11 +520,11 @@ class CodebookCode:
         index order, and the first entry is the exact floor over all action
         blocks. Levels ending past min(``_CANDIDATE_CAP``, m1) words are cut.
         """
-        hit = self._walks.get(comp)
-        if hit is None:
-            table = self._table(comp)
+        rec = self._record(comp)
+        if rec["walk"] is None:
+            table = rec["table"]
             order = np.argsort(table, kind="stable")
-            combos = np.stack(np.unravel_index(order, self._radix(comp)), axis=1)
+            combos = np.stack(np.unravel_index(order, rec["radix"]), axis=1)
             tv = table[order]
             ends = np.concatenate([[0], np.flatnonzero(tv[1:] != tv[:-1]) + 1, [tv.size]])
             words = np.ones(tv.size)
@@ -531,9 +533,8 @@ class CodebookCode:
             spent = np.concatenate([[0.0], np.cumsum(words)])
             # every combo has a word, so spent rises and the kept levels are a prefix
             ends = ends[spent[ends] <= min(_CANDIDATE_CAP, self.m1)]
-            hit = (combos[: ends[-1]].tolist(), ends.tolist(), spent[: ends[-1] + 1].tolist())
-            self._walks[comp] = hit
-        return hit
+            rec["walk"] = (combos[: ends[-1]].tolist(), ends.tolist(), spent[: ends[-1] + 1].tolist())
+        return rec["walk"]
 
     def _subset_or(self, bits: np.ndarray, c: int) -> np.ndarray:
         """OR of every size-c subset of each row's disjoint single-bit words:
@@ -631,14 +632,13 @@ class CodebookCode:
         per-codeword loop).
         """
         x = x_batch.astype(np.intp, copy=False)
-        used, slot = np.unique(group, return_inverse=True)  # sample -> its table
-        keys = [keys[g] for g in used.tolist()]
-        tables = [self._table(key) for key in keys]
-        base = np.cumsum([0] + [t.size for t in tables[:-1]])[slot]
-        flat = np.concatenate(tables)
-        floor = np.array([t.min() for t in tables])[slot]
+        used, slot = np.unique(group, return_inverse=True)  # sample -> its record
+        recs = [self._record(keys[g]) for g in used.tolist()]
+        base = np.cumsum([0] + [r["table"].size for r in recs[:-1]])[slot]
+        flat = np.concatenate([r["table"] for r in recs])
+        floor = np.array([r["floor"] for r in recs])[slot]
         # (S, n, K) -> (S, (K - 1) * n): the first action symbol is not counted
-        lanes = np.stack([self._strides(key) for key in keys])[slot[:, None], x]
+        lanes = np.stack([r["place"] for r in recs])[slot[:, None], x]
         lanes = lanes[:, :, 1:].transpose(0, 2, 1).reshape(x.shape[0], -1)
         lanes = lanes.astype(np.float32)
         out = np.zeros(x.shape[0], dtype=np.int64)
@@ -712,7 +712,7 @@ class CodebookCode:
         # walk's per-level calls cost more than all of its candidates save
         walk = self._index is not None and s * self.m1 > _WALK_CELLS
         for g, comp in enumerate(keys):
-            table = self._table(comp)
+            table = self._record(comp)["table"]
             if table is None:
                 rows = np.flatnonzero(group == g)
                 out[rows] = self._encode_rowwise(x[rows], [comp] * rows.size)
@@ -767,14 +767,6 @@ class BlockRepeatCode:
     @property
     def rate1(self) -> float:
         return self.base.rate1
-
-    @property
-    def rate2(self):
-        return getattr(self.base, "rate2", None)
-
-    @property
-    def is_cascade(self) -> bool:
-        return self.base.is_cascade
 
     @property
     def action_sizes(self) -> tuple:

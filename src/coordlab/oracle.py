@@ -577,8 +577,6 @@ def theorem_consistency_scan(
             rate = math.log2(m1) / n
             rep = exhaustive_best_code(p0, joint_target, n, rate, guard=budget)
             per_m1.append((rate, rep.optimum, rep.optimizer))
-        if partial and not per_m1:
-            break
         for delta in delta_grid:
             pt = frontier(delta)
             sim_code = build_codebook_code(

@@ -490,8 +490,9 @@ class TestEncoderPaths:
         code = cc.build_codebook_code(TERNARY_P0, TERNARY_Q, 6, 1.0, seed=11)
         inputs = cc._enumerate_inputs(3, 6)
         assert np.array_equal(code.encode(inputs), brute_force_encode(code, inputs))
-        assert any(t is None for t in code._tables.values())
-        assert any(t is not None for t in code._tables.values())
+        tables = [r["table"] for r in code._records.values()]
+        assert any(t is None for t in tables)
+        assert any(t is not None for t in tables)
 
     def test_packed_table_cap_fallback(self, monkeypatch):
         # (2,2,3) needs 3 * 3 * 4 = 36 entries, (7,0,0) needs 8: a cap
@@ -503,8 +504,9 @@ class TestEncoderPaths:
         assert code.packed_y is not None
         inputs = cc._enumerate_inputs(3, 7)
         assert np.array_equal(code.encode(inputs), brute_force_encode(code, inputs))
-        assert any(t is None for t in code._tables.values())
-        assert any(t is not None for t in code._tables.values())
+        tables = [r["table"] for r in code._records.values()]
+        assert any(t is None for t in tables)
+        assert any(t is not None for t in tables)
 
     def test_symbol_scan_leaves_at_the_floor(self, monkeypatch):
         # the samples have the source's own composition, so the codeword
@@ -600,7 +602,8 @@ class TestTableLookup:
         # counts) among them
         for x in cc._enumerate_inputs(a, n):
             comp = tuple(int(c) for c in np.bincount(x, minlength=a))
-            looked = code._table(comp)[code._strides(comp)[x[None, :], u].sum(axis=1)]
+            rec = code._record(comp)
+            looked = rec["table"][rec["place"][x[None, :], u].sum(axis=1)]
             if packed:
                 c1 = [((u == 1) & (x == s)).sum(axis=1).astype(np.float64) for s in range(a)]
                 want = code._tv_from_c1(c1, comp, code.target)
@@ -682,8 +685,9 @@ class TestPackedBatch:
         x = source_draws(p0, 18, 300, seed=7)
         assert np.array_equal(code.encode(x), brute_force_encode(code, x))
         budget = min(cc._CANDIDATE_CAP, code.m1)
-        assert code._walks
-        for combos, bounds, spent in code._walks.values():
+        walks = [r["walk"] for r in code._records.values() if r["walk"] is not None]
+        assert walks
+        for combos, bounds, spent in walks:
             assert len(combos) == bounds[-1] and len(spent) == bounds[-1] + 1
             assert spent[-1] <= budget
 
@@ -885,7 +889,7 @@ class TestParallelCaches:
                 )
         finally:
             sys.setswitchinterval(interval)
-        assert code._walks or code.symbols_y is not None
+        assert any(r["walk"] for r in code._records.values()) or code.symbols_y is not None
         assert reports[0] == reports[1] == reports[2]
 
 
@@ -902,7 +906,7 @@ class TestCopies:
         code = cc.build_codebook_code(p0, q, n, rate, seed=2)
         x = source_draws(p0, n, 300, seed=3)
         want = code.encode(x)
-        assert code._walks or code.symbols_y is not None
+        assert any(r["walk"] for r in code._records.values()) or code.symbols_y is not None
         for clone in (pickle.loads(pickle.dumps(code)), copy.deepcopy(code)):
             assert np.array_equal(clone.encode(x), want)
             assert_copy_rebuilt(code, clone)

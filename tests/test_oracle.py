@@ -154,6 +154,38 @@ class TestExhaustiveBestCode:
         )
         assert rep.search_space_size == 420
 
+    @pytest.mark.parametrize(
+        "n, rates, plain",
+        [
+            (2, (1.5,), (1.0,)),  # 8 messages, 4 y-codewords
+            (1, (1.0, 2.0), (1.0, 1.0)),  # 4 z-messages, 2 z-codewords
+            (1, (3.0, 1.0), (2.0, 1.0)),  # 8 messages, 4 (y, z) pairs
+        ],
+        ids=["two-node", "cascade-rate2", "cascade-rate1"],
+    )
+    def test_message_padding(self, identity_joint, n, rates, plain):
+        # more messages than codewords: the search runs on the codewords,
+        # and the tables repeat their last entry up to the nominal rates
+        two_node = len(rates) == 1
+        p0, target = (pc.Pmf([0.5, 0.5]), identity_joint) if two_node else random_cascade()
+        rep = orc.exhaustive_best_code(p0, target, n, *rates)
+        ref = orc.exhaustive_best_code(p0, target, n, *plain)
+        code, base = rep.optimizer, ref.optimizer
+        assert rep.optimum.hex() == ref.optimum.hex()
+        assert expected_tv_exact(code, p0, target) == pytest.approx(rep.optimum, abs=1e-12)
+        assert code.encoder.tolist() == base.encoder.tolist()
+        assert code.rate1 == rates[0] and code.decoder_mid.shape == (message_count(n, rates[0]), n)
+        fields = ["decoder_mid"]
+        if code.is_cascade:
+            assert code.rate2 == rates[1]
+            assert code.decoder_end.shape == (message_count(n, rates[1]), n)
+            fields += ["recoder", "decoder_end"]
+        for name in fields:
+            got, want = getattr(code, name), getattr(base, name)
+            assert got[: len(want)].tolist() == want.tolist()
+            assert (got[len(want) :] == want[-1]).all()
+        assert any(len(getattr(code, f)) > len(getattr(base, f)) for f in fields)
+
     def test_rate2_only_for_cascade(self, uniform_binary, identity_joint):
         with pytest.raises(ValueError, match="rate2"):
             orc.exhaustive_best_code(uniform_binary, identity_joint, 1, 1.0, rate2=0.5)
@@ -267,6 +299,23 @@ class TestConsistencyScan:
         assert out["partial"]
         assert out["rows"] == []
         assert out["evaluated_codes"] == 0
+
+    def test_budget_runs_out_inside_a_blocklength(self, uniform_binary, identity_channel):
+        # n = 1 and n = 2 cost 3 and 15 codes; at n = 3 the budget admits
+        # m1 = 1 (8 codes) and m1 = 2 (28), not m1 = 3 (56)
+        out = orc.theorem_consistency_scan(
+            uniform_binary,
+            identity_channel,
+            n_grid=(1, 2, 3, 4),
+            delta_grid=(0.25, 1.0),
+            budget=64,
+        )
+        assert out["partial"]
+        spent = sum(math.comb(2**n, m1) for n in (1, 2) for m1 in range(1, 2**n + 1))
+        assert out["evaluated_codes"] == spent + math.comb(8, 1) + math.comb(8, 2) == 54
+        assert [row["n"] for row in out["rows"]] == [1, 1, 2, 2, 3, 3]
+        for row in out["rows"]:
+            assert row["partial_blocklength"] == (row["n"] == 3)
 
     def test_scan_is_deterministic(self, uniform_binary, identity_channel):
         kw = dict(n_grid=(1, 2), delta_grid=(0.25, 0.5), seed=3)
@@ -520,6 +569,7 @@ class TestBatchedSearchMatchesLoop:
         assert code.decoder_mid[: len(dec_y)].tolist() == dec_y.tolist()
         assert code.recoder[: len(rec)].tolist() == rec
         assert code.decoder_end[: len(dec_z)].tolist() == dec_z.tolist()
+        assert expected_tv_exact(code, p0, joint) == pytest.approx(rep.optimum, abs=1e-12)
 
     def test_helper_on_random_ties(self, monkeypatch):
         searches = []
