@@ -451,6 +451,28 @@ class TestRegionCommand:
             assert float(row["R1"]) <= 1e-9
             assert float(row["R2"]) <= 1e-9
 
+    # scripts/specs/cascade_small.json's frontier as recorded when every
+    # SPG call projected its start: delta -> (R1, R2, certificate)
+    CASCADE_SMALL = {
+        0.0: (0.7420858585497175, 0.5310044064107188, 0.0),
+        0.1: (0.35366528911159845, 0.27807190511263774, 2.7755575615628914e-17),
+        0.25: (0.08104043928211367, 0.06593194462450896, 8.958472852427235e-12),
+    }
+
+    def test_shipped_cascade_frontier(self, tmp_path):
+        # every point certifies, and each rate lies within its own
+        # certificate plus the recorded one of the recorded rate
+        spec = os.path.join(SPEC_DIR, "cascade_small.json")
+        assert cli.main(["region", "--spec", spec, "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "frontier.csv")
+        assert sorted({float(r["delta"]) for r in rows}) == sorted(self.CASCADE_SMALL)
+        for row in rows:
+            r1, r2, old_gap = self.CASCADE_SMALL[float(row["delta"])]
+            gap = float(row["gap"])
+            assert gap <= 1e-7
+            assert abs(float(row["R1"]) - r1) <= gap + old_gap
+            assert abs(float(row["R2"]) - r2) <= gap + old_gap
+
     @staticmethod
     def ill_conditioned_spec(tmp_path, solver):
         doc = base_spec(

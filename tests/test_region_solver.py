@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -426,7 +427,8 @@ class TestObjective:
 
 
 def count_projections(monkeypatch):
-    """Counts ``project`` calls and solver iterations (one gap check each)."""
+    """Counts ``project`` calls and gap checks: one per solver iteration,
+    and one more per ``_spg`` start."""
     calls = count_gap_checks(monkeypatch)
     calls["project"] = 0
     project = rs._NeighborhoodProgram.project
@@ -533,15 +535,19 @@ class TestSpg:
 
     def test_random_cascade_counts(self, monkeypatch):
         # perfbench's random cascade at 1/4, 1/2 and 3/4 of delta*: FISTA
-        # took 679 projections in 391 iterations; SPG takes 384 in 285
+        # took 679 projections in 391 iterations; SPG projecting each
+        # weight's start took 384 in 285. Each solve now projects its start
+        # once and each weight checks its carried start's gap instead:
+        # 256 projections (253 iterations and 3 starts) and 352 gap checks
+        # (253 iterations and 99 weight starts)
         calls = count_projections(monkeypatch)
         p0, tgt = random_cascade()
         ds = rs.delta_star(p0, tgt)
         for fraction in (0.25, 0.5, 0.75):
             pts = rs.solve_cascade(p0, tgt, fraction * ds)
             assert max(p.certificate for p in pts) <= rs.SolverConfig().duality_gap_tol
-        assert calls["project"] <= 420
-        assert calls["gap"] <= 310
+        assert calls["project"] <= 270
+        assert calls["gap"] <= 360
 
     def test_cascade_does_not_call_fista(self, monkeypatch):
         calls = fista_spy(monkeypatch)
@@ -575,10 +581,12 @@ class TestSpg:
             assert abs(got - want) <= allowed + 1e-15
 
     def test_line_search(self, monkeypatch):
-        # perfbench's random cascade at 1/4, 1/2 and 3/4 of delta*: every
-        # accepted trial meets the nonmonotone test against the last
-        # _SPG_MEMORY values, and some trials are rejected (13 in 285
-        # iterations); a loop that always accepts lam = 1 fails here
+        # random_cascades(3) at 1/4, 1/2 and 3/4 of delta*: every accepted
+        # trial meets the nonmonotone test against the last _SPG_MEMORY
+        # values, and some trials are rejected (15 in 1,288 iterations); a
+        # loop that always accepts lam = 1 fails here. The first instance
+        # alone (perfbench's) now rejects none: its 13 rejections came from
+        # stepping starts that certify, which each weight now checks first
         events = []
         spg, project, objective = rs._spg, rs._NeighborhoodProgram.project, rs._objective
 
@@ -599,23 +607,29 @@ class TestSpg:
         monkeypatch.setattr(rs, "_spg", spy_spg)
         monkeypatch.setattr(rs._NeighborhoodProgram, "project", spy_project)
         monkeypatch.setattr(rs, "_objective", spy_objective)
-        p0, tgt = random_cascade()
-        for fraction in (0.25, 0.5, 0.75):
-            rs.solve_cascade(p0, tgt, fraction * rs.delta_star(p0, tgt))
-        # each _spg call: start, project(q0), f(q); then per iteration one
-        # projection and the trials, the last of them accepted
+        for p0, tgt in random_cascades(3):
+            for fraction in (0.25, 0.5, 0.75):
+                events.append(("solve",))
+                rs.solve_cascade(p0, tgt, fraction * rs.delta_star(p0, tgt))
+        # each solve projects its start once; each _spg call: start, f(q0)
+        # at the carried point, with no projection; then, unless q0
+        # certifies, per iteration one projection and the trials, the last
+        # of them accepted
         calls = []
         for event in events:
-            if event[0] == "start":
-                calls.append([])
+            if event[0] in ("solve", "start"):
+                calls.append((event[0], []))
             else:
-                calls[-1].append(event)
+                calls[-1][1].append(event)
         accepted = rejected = 0
-        for call in calls:
-            assert [e[0] for e in call[:2]] == ["project", "objective"]
-            _, q, g, f = call[1]
+        for kind, call in calls:
+            if kind == "solve":
+                assert [e[0] for e in call] == ["project"]
+                continue
+            assert call[0][0] == "objective"
+            _, q, g, f = call[0]
             recent = [f]
-            rest = call[2:]
+            rest = call[1:]
             while rest:
                 assert rest[0][0] == "project"
                 d = rest[0][1] - q
@@ -634,11 +648,32 @@ class TestSpg:
         assert rejected >= 1
 
     def test_steps_stay_finite(self, monkeypatch):
-        # A zero step (s = 0, so s'y = 0) lands on a fixed point of the
-        # projected gradient, which certifies at the default tolerance; at
-        # 1e-16 the loop goes on, and the next step takes the spectral
-        # step's cap, alpha = 1e10: that projected input is far out, but
-        # finite, and so is every value after it
+        # From a fixed point of the projected gradient, P(q - g) = q, the
+        # first step is zero (s = 0, so s'y = 0) and the next takes the
+        # spectral step's cap, alpha = 1e10: that projected input is far
+        # out, but finite, and so is every value after it. The fixed point
+        # is Z-copies-X's optimum at weight 1/2 and delta*/2, where the gap
+        # reads at rounding level (8.3e-17), so the tolerance sits under
+        # it and the start check does not return the start. The sweeps at
+        # tolerance 1e-16 stay finite too.
+        z_copies_x = np.zeros((2, 2, 2))  # Y constant
+        z_copies_x[0, 0, 0] = z_copies_x[1, 0, 1] = 1.0
+        p0, tgt = pc.Pmf([0.7, 0.3]), pc.CondPmf(z_copies_x)
+        prog = rs._NeighborhoodProgram(p0, tgt, 0.5 * rs.delta_star(p0, tgt))
+
+        def gradient(q):
+            g_z = prog.mi_grad(q.reshape(2, 2, 2).sum(axis=1))
+            return 0.5 * prog.mi_grad(q) + 0.5 * np.repeat(g_z[:, None, :], 2, axis=1).reshape(2, -1)
+
+        q, _ = rs._spg(prog, gradient, prog.project(rs._start(prog)[0]), rs.SolverConfig(duality_gap_tol=1e-16))
+        for _ in range(50):
+            step = prog.project(q - gradient(q))
+            if np.array_equal(step, q):
+                break
+            q = step
+        else:
+            pytest.fail("no fixed point of the projected gradient")
+        assert prog.gap_at(q, gradient(q)) > 1e-20
         inputs = []
         project = rs._NeighborhoodProgram.project
 
@@ -647,18 +682,84 @@ class TestSpg:
             return project(self, v)
 
         monkeypatch.setattr(rs._NeighborhoodProgram, "project", spy)
-        z_copies_x = np.zeros((2, 2, 2))  # Y constant
-        z_copies_x[0, 0, 0] = z_copies_x[1, 0, 1] = 1.0
-        cases = [(pc.Pmf([0.7, 0.3]), pc.CondPmf(z_copies_x)), random_cascades(2)[1]]
-        config = rs.SolverConfig(duality_gap_tol=1e-16, scalarization_weights=(0.0, 0.5, 1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for p0, tgt in cases:
+            # two iterations: the zero step, then the capped one
+            end, gap = rs._spg(prog, gradient, q, rs.SolverConfig(duality_gap_tol=1e-20, max_iterations=2))
+            assert len(inputs) == 2 and inputs[1][1] >= 1e9
+            assert np.isfinite(end).all() and math.isfinite(gap)
+            config = rs.SolverConfig(duality_gap_tol=1e-16, scalarization_weights=(0.0, 0.5, 1.0))
+            for p0, tgt in ((p0, tgt), random_cascades(2)[1]):
                 pts = rs.solve_cascade(p0, tgt, 0.25 * rs.delta_star(p0, tgt), config)
                 assert all(math.isfinite(p.R1) and math.isfinite(p.R2) for p in pts)
                 assert max(p.certificate for p in pts) <= 1e-16
         assert all(finite for finite, _ in inputs)
-        assert max(size for _, size in inputs) >= 1e9
+
+
+def sweep_events(monkeypatch):
+    """Logs "P" per projection, "S" per ``_spg`` call and "I" per
+    iteration (``_Progress.stop``) in one string; each ``_spg`` call's
+    (start, returned point, certificate) goes in ``calls``."""
+    log = {"events": "", "calls": []}
+    spg, project, stop = rs._spg, rs._NeighborhoodProgram.project, rs._Progress.stop
+
+    def spy_spg(prog, gradient, q0, config):
+        log["events"] += "S"
+        q, gap = spg(prog, gradient, q0, config)
+        log["calls"].append((q0, q, gap))
+        return q, gap
+
+    def spy_project(self, v):
+        log["events"] += "P"
+        return project(self, v)
+
+    def spy_stop(self, q, f, grad):
+        log["events"] += "I"
+        return stop(self, q, f, grad)
+
+    monkeypatch.setattr(rs, "_spg", spy_spg)
+    monkeypatch.setattr(rs._NeighborhoodProgram, "project", spy_project)
+    monkeypatch.setattr(rs._Progress, "stop", spy_stop)
+    return log
+
+
+class TestWarmStarts:
+    """A cascade solve projects its start once; each weight starts from
+    the last argmin, feasible already, and checks its gap before stepping."""
+
+    @pytest.mark.parametrize("case", cascade_sweeps(), ids=lambda c: c[0])
+    def test_one_projection_per_solve_and_per_step(self, monkeypatch, case):
+        _, p0, tgt, delta, config = case
+        log = sweep_events(monkeypatch)
+        pts = rs.solve_cascade(p0, tgt, delta, config)
+        if pts[0].lam is None:  # a closed form: no loop runs
+            assert log["events"] == ""
+        else:
+            assert re.fullmatch(r"P(S(PI)*)+", log["events"]), log["events"]
+            lams = config.scalarization_weights
+            assert log["events"].count("S") == len(lams) + (lams[-1] != 1.0)
+
+    def test_certified_start_takes_no_step(self, monkeypatch):
+        # cascade_small.json at delta = 0.1: every weight's optimum is the
+        # lam = 1 argmin, so the weights after it return their start
+        spec = cli.load_problem_spec(os.path.join(SPEC_DIR, "cascade_small.json"))
+        log = sweep_events(monkeypatch)
+        rs.solve_cascade(spec.source, spec.target, 0.1, spec.solver)
+        steps = [run.count("I") for run in log["events"][1:].split("S")[1:]]
+        assert len(steps) == len(log["calls"]) == 5
+        idle = [call for call, n in zip(log["calls"], steps) if n == 0]
+        assert idle
+        for q0, q, gap in idle:
+            assert q is q0 and gap <= spec.solver.duality_gap_tol
+
+    def test_one_iteration_takes_one_step(self, monkeypatch):
+        # the start check spends no iteration: at max_iterations 1 each
+        # weight still steps once, from a start too far out to certify
+        p0, tgt = random_cascade()
+        config = rs.SolverConfig(max_iterations=1)
+        log = sweep_events(monkeypatch)
+        rs.solve_cascade(p0, tgt, 0.5 * rs.delta_star(p0, tgt), config)
+        assert log["events"] == "P" + "SPI" * len(config.scalarization_weights)
 
 
 class TestCascade:
