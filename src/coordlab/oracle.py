@@ -460,6 +460,13 @@ def exhaustive_best_code(
     A search space over ``guard``, more than ENUM_GUARD source blocks or a
     TV table over ``MAX_CODE_TABLE`` entries is refused by ValueError
     before any codeword block is built.
+
+    ``details["floor"]`` is the expected TV with every codeword available:
+    the search's ``np.vecdot`` of the probabilities with the columnwise
+    minimum over all of the table's rows. No code's optimum, at any rate,
+    is below it: each set's minimum is at least the full minimum
+    (``np.minimum`` is exact), and a dot with nonnegative probabilities is
+    monotone in it.
     """
     cascade = target.mass.ndim == 3
     if cascade != (rate2 is not None):
@@ -523,7 +530,10 @@ def exhaustive_best_code(
         optimum=val,
         optimizer=code,
         search_space_size=space,
-        details={"codeword_universes": [uy, uz]},
+        details={
+            "codeword_universes": [uy, uz],
+            "floor": float(np.vecdot(tv.reshape(-1, nx).min(axis=0), probs)),
+        },
     )
 
 
@@ -545,6 +555,14 @@ def theorem_consistency_scan(
     whose TV to the target, tv_E, is at most the expected TV (Jensen,
     criterion 07). So rate >= R(tv_E) >= R1(tv_E) - gap; the lowest-rate
     code meeting each radius is flagged when that deficit is over 1e-12.
+
+    The budget charges all C(|Y|^n, m1) codes of every m1 it admits, in
+    increasing m1, and ``evaluated_codes`` counts the codes so covered,
+    searched or settled. m1 = 1 is always searched. A later m1 is searched
+    only while a radius is open: no code has met it yet and the floor
+    (``exhaustive_best_code``'s expected TV with every codeword) does not
+    rule it out. The optimum does not rise with m1 and is never below the
+    floor, so a settled m1 is never the lowest-rate code of any row.
     """
     if target.rows.ndim != 2:
         raise ValueError("consistency scan handles two-node targets")
@@ -568,15 +586,20 @@ def theorem_consistency_scan(
             break
         u = y_size**n
         per_m1 = []
+        open_radii = list(delta_grid)
         for m1 in range(1, u + 1):
             cost = math.comb(u, m1)
             if evaluated + cost > budget:
                 partial = True
                 break
             evaluated += cost
+            if m1 > 1 and not open_radii:
+                continue
             rate = math.log2(m1) / n
             rep = exhaustive_best_code(p0, joint_target, n, rate, guard=budget)
             per_m1.append((rate, rep.optimum, rep.optimizer))
+            floor = rep.details["floor"]
+            open_radii = [d for d in open_radii if floor <= d + TV_SLACK < rep.optimum]
         for delta in delta_grid:
             pt = frontier(delta)
             sim_code = build_codebook_code(

@@ -764,6 +764,44 @@ class TestOracleCommand:
         assert cli.main(["oracle", "--spec", spec, "--out", str(tmp_path)]) == cli.EXIT_SCHEMA
         assert "exceeds MAX_CODE_TABLE 63" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "module, name, bound, message",
+        [
+            (oc, "MAX_CODE_TABLE", 4**3 - 1, "TV table of 8*8*1 entries exceeds MAX_CODE_TABLE 63"),
+            (cc, "ENUM_GUARD", 4, "2^3 sequences exceed ENUM_GUARD 4"),
+        ],
+        ids=["table", "sources"],
+    )
+    def test_guards_fire_on_a_settled_blocklength(
+        self, tmp_path, capsys, monkeypatch, module, name, bound, message
+    ):
+        # no code meets radius 0 at any n, and each floor says so after
+        # m1 = 1: the scan settles every later m1, so m1 = 1 alone runs
+        # the guards of n = 3
+        searched = []
+        search = oc.exhaustive_best_code
+        monkeypatch.setattr(
+            oc, "exhaustive_best_code", lambda *a, **k: searched.append(a[2:4]) or search(*a, **k)
+        )
+        monkeypatch.setattr(module, name, bound)
+        spec = write_spec(tmp_path, base_spec(n_grid=[1, 2, 3], delta_grid=[0.0]))
+        assert cli.main(["oracle", "--spec", spec, "--out", str(tmp_path)]) == cli.EXIT_SCHEMA
+        assert capsys.readouterr().err == f"spec error: n_grid: {message}\n"
+        assert searched == [(1, 0.0), (2, 0.0), (3, 0.0)]
+
+    # sha256 of the oracle outputs on the shipped two-node spec, recorded
+    # when the scan searched every m1 the budget admits
+    GOLDEN = {
+        "scan.csv": "49d4e65a732d55cb3707f0153c10a5c0f578503ae1d61b82e87a2666f932dc44",
+        "scan.json": "2de0ac3202cf67325cd93feb7429326f8fef703dbbd5789f1fdf0ec5cdb118f3",
+    }
+
+    def test_shipped_spec_golden_bytes(self, tmp_path):
+        spec = os.path.join(SPEC_DIR, "two_node_identity.json")
+        assert cli.main(["oracle", "--spec", spec, "--out", str(tmp_path)]) == 0
+        got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in self.GOLDEN}
+        assert got == self.GOLDEN
+
     def test_cascade_not_supported(self, tmp_path, capsys):
         doc = base_spec(
             **CASCADE_IDENTITY,

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import os
 import time
@@ -385,6 +386,147 @@ class TestHostileBlocklengths:
         single = pc.JointPmf([[0.5], [0.5]])
         with pytest.raises(ValueError, match=r"^2\^1000000000 sequences exceed ENUM_GUARD"):
             orc.exhaustive_best_code(uniform_binary, single, 10**9, 0.0)
+
+
+# -- the scan searches only the rates that can change a row ---------------
+
+
+def search_every_rate(p0, target, n_grid, budget):
+    """Reference: the scan's budget walk with every admitted m1 searched.
+
+    Returns the (n, [(rate, optimum, code), ...]) searched per blocklength,
+    the codes charged and whether the budget ran out. Asserts that no
+    optimum is below its search's floor, with no slack.
+    """
+    joint = pc.compose(p0, target)
+    blocks, evaluated, partial = [], 0, False
+    for n in n_grid:
+        u = target.rows.shape[1] ** n
+        if u > budget - evaluated:
+            partial = True
+            break
+        per_m1 = []
+        for m1 in range(1, u + 1):
+            cost = math.comb(u, m1)
+            if evaluated + cost > budget:
+                partial = True
+                break
+            evaluated += cost
+            rate = math.log2(m1) / n
+            rep = orc.exhaustive_best_code(p0, joint, n, rate, guard=budget)
+            assert rep.details["floor"] <= rep.optimum
+            per_m1.append((rate, rep.optimum, rep.optimizer))
+        blocks.append((n, per_m1))
+        if partial:
+            break
+    return blocks, evaluated, partial
+
+
+def reference_rows(blocks, delta_grid, partial):
+    """(n, delta, rate, achieved TV, code, partial blocklength) per row:
+    the lowest-rate code meeting each radius, as the scan reports it."""
+    rows = []
+    for i, (n, per_m1) in enumerate(blocks):
+        inside = partial and i == len(blocks) - 1
+        for d in delta_grid:
+            hit = [e for e in per_m1 if e[1] <= d + pc.TV_SLACK]
+            rows.append((n, d, *(hit[0] if hit else (None, None, None)), inside))
+    return rows
+
+
+def tie_radius(v):
+    """The radius d with d + TV_SLACK == v exactly, or None."""
+    d = v - pc.TV_SLACK
+    while d + pc.TV_SLACK > v:
+        d = np.nextafter(d, -np.inf)
+    while d + pc.TV_SLACK < v:
+        d = np.nextafter(d, np.inf)
+    return float(d) if d + pc.TV_SLACK == v and d >= 0.0 else None
+
+
+def random_scan_instance(seed):
+    """A random 2-3 x 2-3 channel; odd seeds zero one entry of each row."""
+    rng = np.random.default_rng(seed)
+    kx, ky = (int(k) for k in rng.integers(2, 4, size=2))
+    rows = rng.dirichlet(np.ones(ky), size=kx)
+    if seed % 2:
+        rows[np.arange(kx), rng.integers(0, ky, size=kx)] = 0.0
+        rows /= rows.sum(axis=1, keepdims=True)
+    return pc.Pmf(rng.dirichlet(np.ones(kx))), pc.CondPmf(rows)
+
+
+# perfbench's oracle_scan units: the criterion 10 pairs, n up to 5
+PERFBENCH_REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "reference.json")
+PERFBENCH_SCAN = dict(n_grid=(1, 2, 3, 4, 5), delta_grid=(0.0, 0.1, 0.25, 0.5, 1.0), budget=500_000)
+
+
+def perfbench_scan_pairs():
+    targets = ins.battery_targets()
+    pairs = [(pc.Pmf([0.5, 0.5]), pc.CondPmf.identity(2))]
+    return pairs + [(pc.marginal_pmf(targets[j], 0), pc.conditional(targets[j])) for j in (1, 2)]
+
+
+class TestScanSearchesOpenRates:
+    """A settled m1 is never the lowest-rate code of a row: the scan gives
+    the rows, ``evaluated_codes`` and ``partial`` of searching them all."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        searched = []
+        search = orc.exhaustive_best_code
+
+        def spy(*args, **kwargs):
+            searched.append(args[2:4])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(orc, "exhaustive_best_code", spy)
+        return searched
+
+    @pytest.mark.parametrize("budget", [200, 5000, 70_000])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_rows_as_every_rate_searched(self, monkeypatch, seed, budget):
+        p0, target = random_scan_instance(seed)
+        n_grid = (1, 2, 3, 4) if target.rows.shape[1] == 2 else (1, 2, 3)
+        blocks, evaluated, partial = search_every_rate(p0, target, n_grid, budget)
+        # radii tied at d + TV_SLACK with each blocklength's m1 = 2 optimum
+        # and with the last optimum searched (the floor where the last
+        # blocklength completes), one radius equal to an optimum, and 0 and
+        # half the least optimum, which no code meets
+        optima = [e[1] for _, per_m1 in blocks for e in per_m1]
+        second = [per_m1[min(1, len(per_m1) - 1)][1] for _, per_m1 in blocks]
+        ties = [tie_radius(v) for v in second + [blocks[-1][1][-1][1]]]
+        assert any(d is not None for d in ties)
+        radii = {0.0, 0.5 * min(optima), second[-1], 1.0}
+        radii = sorted(radii | {d for d in ties if d is not None})
+
+        searched = self.spy(monkeypatch)
+        out = orc.theorem_consistency_scan(p0, target, n_grid, radii, budget=budget)
+        assert out["evaluated_codes"] == evaluated and out["partial"] == partial
+        joint = pc.compose(p0, target)
+        ref = reference_rows(blocks, radii, partial)
+        assert len(out["rows"]) == len(ref)
+        for row, (n, d, rate, tv, code, inside) in zip(out["rows"], ref):
+            assert (row["n"], row["delta"], row["partial_blocklength"]) == (n, d, inside)
+            assert (row["exhaustive_rate"], row["achieved_tv"]) == (rate, tv)
+            if code is not None:
+                tv_e = pc.total_variation(orc.expected_type_of_code(code, p0), joint)
+                assert row["expected_type_tv"] == tv_e
+        assert sum(row["exhaustive_rate"] is None for row in out["rows"]) >= len(blocks)
+        assert len(searched) < sum(len(per_m1) for _, per_m1 in blocks)
+
+    def test_perfbench_scans_search_few_rates(self, monkeypatch):
+        searched = self.spy(monkeypatch)
+        with open(PERFBENCH_REFERENCE) as f:
+            recorded = json.load(f)["oracle_scan"]
+        for i, (p0, target) in enumerate(perfbench_scan_pairs()):
+            out = orc.theorem_consistency_scan(p0, target, **PERFBENCH_SCAN)
+            ref = recorded[f"scan{i}"]
+            assert out["evaluated_codes"] == ref["evaluated_codes"]
+            assert out["partial"] == ref["partial"]
+            rows = [[r[k] for k in ("n", "delta", "exhaustive_rate", "achieved_tv")] for r in out["rows"]]
+            assert rows == ref["rows"]
+        # 105 with every admitted m1 searched
+        assert len(searched) <= 40
 
 
 # -- batched searches against the per-combination and unpruned loops ------
